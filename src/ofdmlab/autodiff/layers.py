@@ -3,14 +3,33 @@
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import erf
 
-from .tensor import (DiffTensor, _accumulate, _node, as_tensor, matmul,
-                     reshape, transpose)
+from .tensor import DiffTensor, _accumulate, _node, as_tensor
 
 SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
+BLOCK_BYTES = 1 << 20   # im2col columns per batch block, sized to stay in cache
+
+
+def _window_slices(cols_shape) -> list:
+    """(padded-input index, im2col index) pairs, batch block by batch block.
+
+    ``cols_shape`` is [B, H_out, W_out, C_in, kh, kw]. Within a block the
+    kernel taps run in (u, v) order, so a scatter-add through the pairs sums
+    each input position in the same order as one whole-batch pass per tap.
+    """
+    n_batch, h_out, w_out, c_in, kh, kw = cols_shape
+    sample_bytes = 8 * h_out * w_out * c_in * kh * kw
+    step = max(1, BLOCK_BYTES // sample_bytes)
+    pairs = []
+    for start in range(0, n_batch, step):
+        batch = slice(start, start + step)
+        for u in range(kh):
+            for v in range(kw):
+                pairs.append(((batch, slice(u, u + h_out), slice(v, v + w_out)),
+                              (batch, Ellipsis, u, v)))
+    return pairs
 
 
 def conv2d(x, weights, bias=None, padding=(0, 0)) -> DiffTensor:
@@ -19,6 +38,11 @@ def conv2d(x, weights, bias=None, padding=(0, 0)) -> DiffTensor:
     ``x`` is [B, C_in, H, W] (or [C_in, H, W], promoted to a unit batch),
     ``weights`` is [C_out, C_in, kh, kw], ``bias`` is [C_out] or None.
     ``padding`` is (pad_h, pad_w), applied on both sides of each axis.
+
+    The input is copied once into a zero-padded channels-last buffer and
+    gathered into im2col rows in cache-sized batch blocks. The rows keep the
+    (c, u, v) column order of the weights, so the GEMM sums in the same
+    order as a channel-first im2col would.
     """
     x, weights = as_tensor(x), as_tensor(weights)
     squeeze_batch = x.values.ndim == 3
@@ -30,22 +54,27 @@ def conv2d(x, weights, bias=None, padding=(0, 0)) -> DiffTensor:
     if c_in_w != c_in:
         raise ValueError("weight channel count does not match the input")
     ph, pw = padding
-    xp = np.pad(xv, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
     h_out = h + 2 * ph - kh + 1
     w_out = w + 2 * pw - kw + 1
     if h_out < 1 or w_out < 1:
         raise ValueError("kernel does not fit the padded input")
 
-    windows = sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    cols = np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    padded_shape = (n_batch, h + 2 * ph, w + 2 * pw, c_in)
+    xp = np.zeros(padded_shape)
+    xp[:, ph:ph + h, pw:pw + w] = xv.transpose(0, 2, 3, 1)
+    cols = np.empty((n_batch, h_out, w_out, c_in, kh, kw))
+    windows = _window_slices(cols.shape)
+    for padded, col in windows:
+        cols[col] = xp[padded]
     cols = cols.reshape(n_batch * h_out * w_out, c_in * kh * kw)
     w_mat = weights.values.reshape(c_out, -1)
     out = cols @ w_mat.T
     parents = [x, weights]
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.values
+        out += bias.values
         parents.append(bias)
+    # an NHWC-strided view: batch norm reduces it in this memory order
     out = np.moveaxis(out.reshape(n_batch, h_out, w_out, c_out), 3, 1)
     if squeeze_batch:
         out = out[0]
@@ -54,36 +83,51 @@ def conv2d(x, weights, bias=None, padding=(0, 0)) -> DiffTensor:
         gv = g[None] if squeeze_batch else g
         g_mat = np.ascontiguousarray(gv.transpose(0, 2, 3, 1)).reshape(-1, c_out)
         if weights.requires_grad:
-            _accumulate(weights, (g_mat.T @ cols).reshape(weights.values.shape))
+            _accumulate(weights, (g_mat.T @ cols).reshape(weights.values.shape), owned=True)
         if bias is not None and bias.requires_grad:
-            _accumulate(bias, g_mat.sum(axis=0))
+            _accumulate(bias, g_mat.sum(axis=0), owned=True)
         if x.requires_grad:
             g_cols = (g_mat @ w_mat).reshape(n_batch, h_out, w_out, c_in, kh, kw)
-            gxp = np.zeros_like(xp)
-            for u in range(kh):
-                for v in range(kw):
-                    gxp[:, :, u:u + h_out, v:v + w_out] += g_cols[:, :, :, :, u, v].transpose(0, 3, 1, 2)
-            gx = gxp[:, :, ph:ph + h, pw:pw + w]
-            _accumulate(x, gx[0] if squeeze_batch else gx)
+            gxp = np.zeros(padded_shape)
+            for padded, col in windows:
+                gxp[padded] += g_cols[col]
+            gx = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2))
+            _accumulate(x, gx[0] if squeeze_batch else gx, owned=True)
 
     return _node(out, tuple(parents), backward)
 
 
 def linear(x, weights, bias=None) -> DiffTensor:
-    """Affine map over the last axis: y[..., o] = sum_i W[o, i] x[..., i] + b[o]."""
+    """Affine map over the last axis: y[..., o] = sum_i W[o, i] x[..., i] + b[o].
+
+    One tape node. The weight gradient is formed as ``g.T @ x``, a
+    C-contiguous [out, in] array like the weights themselves.
+    """
     x, weights = as_tensor(x), as_tensor(weights)
     if weights.values.ndim != 2:
         raise ValueError("weights must be [out_features, in_features]")
     if x.values.shape[-1] != weights.values.shape[1]:
         raise ValueError("input feature size does not match the weights")
-    lead = x.values.shape[:-1]
-    flat = reshape(x, (-1, x.values.shape[-1])) if x.values.ndim != 2 else x
-    out = matmul(flat, transpose(weights, (1, 0)))
+    n_out = weights.values.shape[0]
+    flat = x.values.reshape(-1, x.values.shape[-1])
+    wv = weights.values
+    out = flat @ wv.T
+    parents = [x, weights]
     if bias is not None:
-        out = out + as_tensor(bias)
-    if x.values.ndim != 2:
-        out = reshape(out, lead + (weights.values.shape[0],))
-    return out
+        bias = as_tensor(bias)
+        out += bias.values
+        parents.append(bias)
+
+    def backward(g):
+        g_flat = g.reshape(-1, n_out)
+        if bias is not None and bias.requires_grad:
+            _accumulate(bias, g_flat.sum(axis=0), owned=True)
+        if weights.requires_grad:
+            _accumulate(weights, g_flat.T @ flat, owned=True)
+        if x.requires_grad:
+            _accumulate(x, (g_flat @ wv).reshape(x.values.shape), owned=True)
+
+    return _node(out.reshape(x.values.shape[:-1] + (n_out,)), tuple(parents), backward)
 
 
 class BatchNorm:
@@ -120,36 +164,46 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     if train and x.values.shape[0] < 2:
         raise ValueError("training-mode batch norm needs a batch of at least 2")
 
+    xv = x.values
+    shape = [1] * xv.ndim
+    shape[1] = xv.shape[1]
+    count = xv.size // xv.shape[1]
     if train:
-        mean = x.values.mean(axis=axes)
-        var = x.values.var(axis=axes)
+        # the two passes of np.var, keeping the centred values
+        mean = xv.mean(axis=axes)
+        centred = xv - mean.reshape(shape)
+        var = np.square(centred).sum(axis=axes) / count
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         running_var *= (1.0 - momentum)
         running_var += momentum * var
     else:
-        mean = running_mean
+        centred = xv - running_mean.reshape(shape)
         var = running_var
 
-    shape = [1] * x.values.ndim
-    shape[1] = x.values.shape[1]
-    mean_r = mean.reshape(shape)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    inv_std_r = inv_std.reshape(shape)
-    x_hat = (x.values - mean_r) * inv_std_r
-    out = gamma.values.reshape(shape) * x_hat + beta.values.reshape(shape)
+    inv_std_r = (1.0 / np.sqrt(var + eps)).reshape(shape)
+    x_hat = np.multiply(centred, inv_std_r, out=centred)   # keeps the input's layout
+    out = np.multiply(gamma.values.reshape(shape), x_hat, out=np.empty_like(x_hat))
+    out += beta.values.reshape(shape)
 
     def backward(g):
+        g_sum = g.sum(axis=axes)
+        g_xhat = g * x_hat
+        gx_sum = g_xhat.sum(axis=axes)
         if beta.requires_grad:
-            _accumulate(beta, g.sum(axis=axes))
+            _accumulate(beta, g_sum)
         if gamma.requires_grad:
-            _accumulate(gamma, (g * x_hat).sum(axis=axes))
+            _accumulate(gamma, gx_sum)
         if x.requires_grad:
             scale = gamma.values.reshape(shape) * inv_std_r
             if train:
-                g_mean = g.mean(axis=axes).reshape(shape)
-                gx_mean = (g * x_hat).mean(axis=axes).reshape(shape)
-                _accumulate(x, scale * (g - g_mean - x_hat * gx_mean))
+                # scale * (g - mean(g) - x_hat * mean(g * x_hat)), in that order
+                g_mean = (g_sum / count).reshape(shape)
+                gx_mean = (gx_sum / count).reshape(shape)
+                gx = np.subtract(g, g_mean, out=np.empty_like(xv))
+                gx -= np.multiply(x_hat, gx_mean, out=g_xhat)
+                gx *= scale
+                _accumulate(x, gx, owned=True)
             else:
                 _accumulate(x, scale * g)
 
@@ -157,20 +211,33 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
 
 
 def selu(x) -> DiffTensor:
-    """Scaled exponential linear unit with the standard constants."""
+    """Scaled exponential linear unit with the standard constants.
+
+    The forward pass is lambda*max(x, 0) + lambda*alpha*(exp(min(x, 0)) - 1):
+    in each branch the other term is an exact zero, so no mask is needed.
+    The backward pass multiplies by a mask instead of indexing. Output and
+    gradient are C-contiguous whatever the input's layout.
+    """
     x = as_tensor(x)
-    flat = x.values.reshape(-1)
-    neg = flat <= 0
-    expneg = np.exp(flat[neg])
-    values = SELU_LAMBDA * flat.copy()
-    values[neg] = (SELU_LAMBDA * SELU_ALPHA) * (expneg - 1.0)
+    xv = x.values
+    expneg = np.minimum(xv, 0.0, out=np.empty(xv.shape))
+    np.exp(expneg, out=expneg)
+    values = np.maximum(xv, 0.0, out=np.empty(xv.shape))
+    values *= SELU_LAMBDA
+    shifted = np.subtract(expneg, 1.0)
+    shifted *= SELU_LAMBDA * SELU_ALPHA
+    values += shifted
 
     def backward(g):
-        local = np.full_like(flat, SELU_LAMBDA)
-        local[neg] = (SELU_LAMBDA * SELU_ALPHA) * expneg
-        _accumulate(x, (local * g.reshape(-1)).reshape(x.values.shape))
+        # lambda*alpha*exp(x) where x <= 0 (there values <= 0), lambda elsewhere
+        negative = values <= 0.0
+        local = np.multiply(expneg, SELU_LAMBDA * SELU_ALPHA)
+        local *= negative
+        local += np.multiply(~negative, SELU_LAMBDA)
+        local *= g
+        _accumulate(x, local, owned=True)
 
-    return _node(values.reshape(x.values.shape), (x,), backward)
+    return _node(values, (x,), backward)
 
 
 def gelu(x) -> DiffTensor:

@@ -6,6 +6,8 @@ import numpy as np
 
 from .tensor import DiffTensor
 
+BLOCK = 1 << 15   # entries per cache block of the update (256 KiB per float64 buffer)
+
 
 class AdamW:
     """Deterministic AdamW over a name -> parameter mapping.
@@ -27,39 +29,66 @@ class AdamW:
         self.step_count = 0
         self.m = {name: np.zeros_like(p.values) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.values) for name, p in self.params.items()}
+        size = max((p.values.size for p in self.params.values()), default=1)
+        self._scratch = np.empty((2, min(BLOCK, size)))
 
     def zero_grad(self):
         for p in self.params.values():
             p.grad = None
 
     def step(self):
+        """One update, block by block through flat views of each parameter.
+
+        Every entry goes through the same operations in the same order as
+        whole-array numpy arithmetic would apply them, so the result is
+        identical; only the temporaries shrink to two cache-sized buffers.
+        """
         self.step_count += 1
         bc1 = 1.0 - self.beta1 ** self.step_count
         bc2 = 1.0 - self.beta2 ** self.step_count
+        step_size = self.lr / bc1
+        decay = 1.0 - self.lr * self.weight_decay
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.values)
             if g.shape != p.values.shape:
                 raise ValueError(f"gradient shape mismatch for {name}")
-            m = self.m[name]
-            v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            # denom = sqrt(v/bc2) + eps, fused into one scratch buffer
-            scratch = np.array(v / bc2)  # np.array: 0-d params stay ndarray
-            np.sqrt(scratch, out=scratch)
-            scratch += self.eps
-            np.divide(m, scratch, out=scratch)
-            scratch *= self.lr / bc1
-            if self.weight_decay:
-                p.values *= 1.0 - self.lr * self.weight_decay
-            p.values -= scratch
+            if not p.values.flags.c_contiguous:
+                p.values = np.ascontiguousarray(p.values)
+            # reshape(-1) of a C-contiguous array is a view: updates land in place
+            flat = [a.reshape(-1) for a in
+                    (p.values, self.m[name], self.v[name], np.ascontiguousarray(g))]
+            for lo in range(0, flat[0].size, BLOCK):
+                p_b, m_b, v_b, g_b = (a[lo:lo + BLOCK] for a in flat)
+                t, u = (s[:p_b.size] for s in self._scratch)
+                m_b *= self.beta1
+                m_b += np.multiply(g_b, 1.0 - self.beta1, out=t)
+                v_b *= self.beta2
+                np.square(g_b, out=t)
+                v_b += np.multiply(t, 1.0 - self.beta2, out=t)
+                # denom = sqrt(v/bc2) + eps; update = m / denom * lr/bc1
+                np.divide(v_b, bc2, out=u)
+                np.sqrt(u, out=u)
+                u += self.eps
+                np.divide(m_b, u, out=u)
+                u *= step_size
+                if self.weight_decay:
+                    p_b *= decay
+                p_b -= u
 
     def grad_norm(self) -> float:
-        """Global L2 norm of all current gradients."""
+        """Global L2 norm of all current gradients.
+
+        Each gradient's squares are summed in one pass, in numpy's pairwise
+        order over the array's memory. A 2-D gradient (a linear weight,
+        [out, in]) is summed in [in, out] order, the order that keeps the
+        logged grad_norm of existing training runs byte-identical.
+        """
         total = 0.0
         for p in self.params.values():
             if p.grad is not None:
-                total += float(np.sum(p.grad ** 2))
+                if p.grad.ndim == 2:
+                    squares = np.square(p.grad.T, order="C")
+                else:
+                    squares = np.square(p.grad)
+                total += float(squares.sum())
         return float(np.sqrt(total))

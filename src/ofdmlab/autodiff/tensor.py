@@ -2,9 +2,9 @@
 
 A DiffTensor wraps an ndarray plus an optional backward closure; operations
 build a DAG whose `backward` pass visits every node once in reverse
-topological order. Only the operations the autoencoder needs are provided.
-Everything is float64 and deterministic: identical inputs give bit-identical
-values and gradients.
+topological order and then frees it. Only the operations the autoencoder
+needs are provided. Everything is float64 and deterministic: identical inputs
+give bit-identical values and gradients.
 """
 
 from __future__ import annotations
@@ -38,7 +38,8 @@ def grad_enabled() -> bool:
 
 
 class DiffTensor:
-    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn")
+    __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn",
+                 "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -68,9 +69,17 @@ class DiffTensor:
         return f"DiffTensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
     def backward(self):
-        """Accumulate d(self)/d(leaf) into every reachable parameter's grad."""
+        """Accumulate d(self)/d(leaf) into every reachable parameter's grad.
+
+        One backward per graph; the tape is freed. Each non-leaf node drops
+        its grad, closure and parents once its own backward has run, so the
+        activations it held can be reclaimed before the next forward pass.
+        A second ``backward()`` through a freed node raises RuntimeError.
+        """
         if self.values.size != 1:
             raise ValueError("backward() requires a scalar")
+        if self._backward_fn is _released:
+            _released(None)
         topo: list[DiffTensor] = []
         visited: set[int] = set()
         stack: list[tuple[DiffTensor, bool]] = [(self, False)]
@@ -90,6 +99,9 @@ class DiffTensor:
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                node.grad = None
+                node._backward_fn = _released
+                node._parents = ()
 
     # -- operator sugar ----------------------------------------------------
 
@@ -148,9 +160,21 @@ def parameter(values) -> DiffTensor:
     return DiffTensor(np.array(values, dtype=np.float64), requires_grad=True)
 
 
-def _accumulate(node: DiffTensor, grad: np.ndarray):
+def _released(grad):
+    """Stands in for the closure of a node whose backward has already run."""
+    raise RuntimeError("backward() through a graph that was already freed; "
+                       "run the forward pass again")
+
+
+def _accumulate(node: DiffTensor, grad: np.ndarray, owned: bool = False):
+    """Add ``grad`` into ``node.grad``.
+
+    ``owned`` hands over a fresh float64 array that nothing else references,
+    which then becomes the grad without a copy (the copy would keep its
+    memory layout, so values and later reductions are the same either way).
+    """
     if node.grad is None:
-        node.grad = np.array(grad, dtype=np.float64)
+        node.grad = grad if owned else np.array(grad, dtype=np.float64)
     else:
         node.grad += grad
 

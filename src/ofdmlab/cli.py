@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -51,13 +52,13 @@ def _load(args) -> ExperimentConfig:
                           out=args.out, workers=args.workers)
 
 
-def _cmd_train(args) -> int:
-    from .cae.training import TrainConfig, train
-    cfg = _load(args)
+def train_config(cfg: ExperimentConfig):
+    """The TrainConfig an experiment file's [system], [channel], [rf] and [train] describe."""
+    from .cae.training import TrainConfig
     t = cfg.train
     s = cfg.system
     taps = 0 if cfg.channel.profile == "awgn" else cfg.channel.taps
-    train_cfg = TrainConfig(
+    return TrainConfig(
         n_tx=s.n_tx, n_rx=s.n_rx, n_subcarriers=s.n_subcarriers,
         oversample=s.oversample, mod_order=s.mod_order,
         channel_taps=taps, channel_decay=cfg.channel.decay,
@@ -70,12 +71,30 @@ def _cmd_train(args) -> int:
         ibo_db=cfg.rf.ibo_db, total_power=cfg.rf.total_power,
         smoothness=cfg.rf.smoothness, decoder_iterations=t.decoder_iterations,
         activation=t.activation, init_scale=t.init_scale, seed=cfg.run.seed)
+
+
+def _clock(seconds: float) -> str:
+    seconds = int(round(seconds))
+    return f"{seconds // 3600}:{seconds // 60 % 60:02d}:{seconds % 60:02d}"
+
+
+def _cmd_train(args) -> int:
+    from .cae.training import train
+    cfg = _load(args)
+    train_cfg = train_config(cfg)
     out = Path(cfg.run.out) if cfg.run.out else Path("cae_checkpoint.bin")
     log_path = out.with_suffix(".log.csv")
+    start = time.perf_counter()
 
     def progress(epoch, row):
         print(f"epoch {epoch:4d}  l1={row[1]:.4f}  l2a={row[2]:.4f}  "
               f"l2b={row[3]:.4f}  l3={row[4]:.3f}  grad={row[8]:.2f}")
+        # the rate counts set-up too: it is the whole run's pace so far
+        done = epoch * train_cfg.batches_per_epoch
+        rate = done / (time.perf_counter() - start)
+        left = (train_cfg.epochs - epoch) * train_cfg.batches_per_epoch
+        print(f"epoch {epoch}/{train_cfg.epochs}: {rate:.3g} batches/s, "
+              f"ETA {_clock(left / rate)}", file=sys.stderr)
 
     result = train(train_cfg, checkpoint_path=out, log_path=log_path, progress=progress)
     print(f"checkpoint: {result.checkpoint_path}")

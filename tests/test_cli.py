@@ -94,7 +94,7 @@ class TestSubcommands:
         assert lines[0] == "method,acpr_db,obo_db"
         assert lines[1] == lines[2]
 
-    def test_train_writes_checkpoint_and_log(self, tmp_path):
+    def test_train_writes_checkpoint_and_log(self, tmp_path, capsys):
         path = tmp_path / "train.cfg"
         path.write_text("""
 [system]
@@ -120,3 +120,15 @@ decoder_iterations = 2
         log = (tmp_path / "model.log.csv").read_text().splitlines()
         assert log[0] == "epoch,l1,l2a,l2b,l3,lambda_2a,lambda_2b,lambda_3,grad_norm"
         assert len(log) == 3
+
+        # progress goes to stderr and leaves the log and checkpoint bytes alone
+        stderr = capsys.readouterr().err.splitlines()
+        assert len(stderr) == 2
+        assert stderr[-1].startswith("epoch 2/2: ") and "batches/s, ETA 0:00:00" in stderr[-1]
+        from ofdmlab.cae.training import train
+        from ofdmlab.cli import train_config
+        from ofdmlab.config import load_config
+        train(train_config(load_config(path)), checkpoint_path=tmp_path / "quiet.bin",
+              log_path=tmp_path / "quiet.csv")
+        assert (tmp_path / "quiet.csv").read_bytes() == (tmp_path / "model.log.csv").read_bytes()
+        assert (tmp_path / "quiet.bin").read_bytes() == (tmp_path / "model.bin").read_bytes()
