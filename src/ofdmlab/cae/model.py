@@ -140,12 +140,14 @@ class DecoderNet:
         width = 2 * self.n_subcarriers
         return as_tensor(rng.uniform(-1.0, 1.0, size=(n_batch, self.n_tx, width)))
 
-    def forward(self, h: np.ndarray, y: CPair, rng: np.random.Generator,
-                train: bool) -> DiffTensor:
+    def forward(self, h: np.ndarray, y: CPair, rng: np.random.Generator | None,
+                train: bool, start: np.ndarray | None = None) -> DiffTensor:
         """Detect from per-subcarrier observations.
 
         ``h`` is the constant channel tensor [B, K, n_rx, n_tx]; ``y`` holds
         the (already gain-compensated) observations as [B, K, n_rx, 1] pairs.
+        ``start`` [B, n_tx, 2K] replaces the starting point drawn from
+        ``rng`` (a caller that draws it per example passes it in).
         Returns logits [B, n_tx, 2K, n_levels].
         """
         n_batch, k = h.shape[0], h.shape[1]
@@ -165,7 +167,7 @@ class DecoderNet:
         hy_rows_im = reshape(hy.im, (n_batch, k, self.n_tx))
         hy_rows = vectors_to_rows(CPair(hy_rows_re, hy_rows_im))
 
-        estimate = self.initial_estimate(rng, n_batch)
+        estimate = self.initial_estimate(rng, n_batch) if start is None else as_tensor(start)
         logits = None
         for it in range(self.iterations):
             est_vec = self._rows_to_matvec(estimate)

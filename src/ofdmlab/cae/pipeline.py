@@ -143,15 +143,18 @@ class CaeSystem:
         }
 
     def receive(self, amplified: CPair, filtered: CPair, h: np.ndarray,
-                noise: np.ndarray, rng: np.random.Generator, train: bool,
+                noise: np.ndarray, rng: np.random.Generator | None, train: bool,
                 alpha_per_example: bool,
-                alpha_override: np.ndarray | None = None) -> tuple[DiffTensor, np.ndarray]:
+                alpha_override: np.ndarray | None = None,
+                start: np.ndarray | None = None) -> tuple[DiffTensor, np.ndarray]:
         """Channel, gain compensation, and decoding; returns logits and alpha.
 
         ``h`` is [B, K, n_rx, n_tx] and ``noise`` is [B, K, n_rx]; noise is
         added before the gain compensation, exactly as a receiver would see
         it. The gain estimate never carries gradients; ``alpha_override``
         pins it to a fixed value (used by the finite-difference oracle).
+        ``start`` is the decoder's starting point, drawn from ``rng`` when
+        not given.
         """
         n_batch, k = h.shape[0], h.shape[1]
         x_freq = tape_unpad(amplified, self.bank)              # [B, A, K]
@@ -172,7 +175,7 @@ class CaeSystem:
             alpha = empirical_bussgang(filtered.values(), amplified.values(), alpha_per_example)
         inv_alpha = (np.conj(alpha) / np.abs(alpha) ** 2).reshape(-1, 1, 1, 1)
         y_comp = cp_mul_complex(y, inv_alpha)
-        logits = self.decoder.forward(h, y_comp, rng, train)
+        logits = self.decoder.forward(h, y_comp, rng, train, start)
         return logits, alpha
 
     def run_batch(self, grids: np.ndarray, h: np.ndarray, noise: np.ndarray,

@@ -10,6 +10,7 @@ training recipe).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -121,16 +122,28 @@ class ExperimentConfig:
             raise ConfigError(f"unknown channel profile {self.channel.profile!r}")
         if self.channel.profile == "awgn" and sys.n_rx != sys.n_tx:
             raise ConfigError("the awgn profile requires n_rx == n_tx")
+        if self.channel.profile == "multipath" and not 1 <= self.channel.taps <= sys.n_subcarriers:
+            raise ConfigError(f"taps must be between 1 and n_subcarriers ({sys.n_subcarriers})")
         if self.rf.amplifier not in ("rapp", "linear"):
             raise ConfigError(f"unknown amplifier {self.rf.amplifier!r}")
+        if not math.isfinite(self.rf.ibo_db):
+            raise ConfigError("ibo_db must be finite")
+        if not (math.isfinite(self.rf.total_power) and self.rf.total_power > 0.0):
+            raise ConfigError("total_power must be positive and finite")
         if self.method.name not in ("none", "cf", "slm", "cae"):
             raise ConfigError(f"unknown method {self.method.name!r}")
+        if not math.isfinite(self.method.clip_ratio_db):
+            raise ConfigError("clip_ratio_db must be finite")
+        if self.method.slm_candidates < 1:
+            raise ConfigError("slm_candidates must be >= 1")
         if self.detector not in ("mle", "zf", "cae"):
             raise ConfigError(f"unknown detector {self.detector!r}")
         if (self.detector == "cae") != (self.method.name == "cae"):
             raise ConfigError("the cae detector pairs exactly with the cae method")
         if self.run.frames < 1:
             raise ConfigError("frames must be >= 1")
+        if not all(math.isfinite(p) for p in self.run.p_snr_db):
+            raise ConfigError("p_snr_db values must be finite")
         if self.run.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self

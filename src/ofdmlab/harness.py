@@ -17,6 +17,7 @@ from .autodiff import no_grad
 from .autodiff.gradcheck import CheckResult, run_all
 from .cae import losses as cae_losses
 from .cae import pipeline as cae_pipeline
+from .cae.model import hard_decisions
 from .cae.training import load_system
 from .channel import (Awgn, MultipathTaps, apply_channel, draw_channel,
                       noise_variance_for_psnr)
@@ -32,6 +33,7 @@ BER_HEADER = ["p_snr_db", "ber", "bit_count", "stderr"]
 CCDF_HEADER = ["papr0_db", "ccdf"]
 PSD_HEADER = ["normalized_freq", "psd_db", "linear_ref_db"]
 ACPR_OBO_HEADER = ["method", "acpr_db", "obo_db"]
+CAE_BLOCK_FRAMES = 32        # frames per CAE inference pass in run_ber
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ def _rapp_params(cfg: ExperimentConfig) -> RappParams:
 
 
 class _FrameChain:
-    """Per-run state shared by all frames: codebook, amplifier, checkpoint."""
+    """Per-run state shared by all frames: codebook, amplifier, detector, checkpoint."""
 
     def __init__(self, cfg: ExperimentConfig):
         cfg.validated()
@@ -78,6 +80,12 @@ class _FrameChain:
         self.profile = _channel_profile(cfg)
         self.book = None
         self.system = None
+        self.detect = None
+        if cfg.detector == "mle":
+            baselines.check_mle_size(cfg.system.mod_order, cfg.system.n_tx)
+            self.detect = baselines.mle_detect
+        elif cfg.detector == "zf":
+            self.detect = baselines.zf_detect
         if cfg.method.name == "slm":
             self.book = baselines.SlmCodebook.random(
                 cfg.run.seed, cfg.method.slm_candidates, cfg.system.n_subcarriers)
@@ -130,42 +138,52 @@ class _FrameChain:
         """Simulate one frame at one SNR point; returns (bit errors, bits)."""
         cfg = self.cfg
         rng = frame_rng(cfg.run.seed, frame_index, point_index)
-        grid = OfdmGrid.random(rng, cfg.system.n_tx, cfg.system.n_subcarriers,
-                               cfg.system.mod_order)
-        chan = draw_channel(rng, cfg.system.n_subcarriers, cfg.system.n_tx,
-                            cfg.system.n_rx, self.profile, sigma_w2)
-        if cfg.method.name == "cae":
-            return self._cae_ber_frame(grid, chan, rng)
-
+        grid, chan = self._link_draw(rng, sigma_w2)
         filtered, phases = self.filtered_frame(grid)
         _, amplified, alpha = self.amplified(filtered)
         x_freq = dft_unpad(amplified, cfg.system.n_subcarriers).T   # [K, n_tx]
         y = apply_channel(x_freq, chan, rng)
         y = y / alpha
-        if cfg.detector == "mle":
-            detected = baselines.mle_detect(chan, y, cfg.system.mod_order)
-        elif cfg.detector == "zf":
-            detected = baselines.zf_detect(chan, y, cfg.system.mod_order)
-        else:
-            raise ConfigError(f"detector {cfg.detector!r} not valid here")
+        detected = self.detect(chan, y, cfg.system.mod_order)
         if phases is not None:
             detected = detected * np.conj(phases)[None, :]
-        sent = symbols_to_bits(grid.symbols, cfg.system.mod_order)
-        got = symbols_to_bits(detected, cfg.system.mod_order)
-        return int(np.sum(sent != got)), sent.size
+        return _bit_errors(grid.symbols, detected, cfg.system.mod_order)
 
-    def _cae_ber_frame(self, grid: OfdmGrid, chan, rng) -> tuple[int, int]:
+    def cae_ber_block(self, frames: range, point_index: int,
+                      sigma_w2: float) -> tuple[int, int]:
+        """Simulate a block of frames through the CAE; returns (bit errors, bits).
+
+        Each frame draws its grid, channel, noise and decoder start from its
+        own stream, in that order; the block then goes through one transmit
+        and one receive pass.
+        """
         cfg = self.cfg
         k, n_rx = cfg.system.n_subcarriers, cfg.system.n_rx
-        noise = (rng.standard_normal((1, k, n_rx)) + 1j * rng.standard_normal((1, k, n_rx))) \
-            * np.sqrt(chan.sigma_w2 / 2.0)
+        grids, hs, noises, starts = [], [], [], []
+        for frame_index in frames:
+            rng = frame_rng(cfg.run.seed, frame_index, point_index)
+            grid, chan = self._link_draw(rng, sigma_w2)
+            noise = (rng.standard_normal((k, n_rx)) + 1j * rng.standard_normal((k, n_rx))) \
+                * np.sqrt(chan.sigma_w2 / 2.0)
+            grids.append(grid.symbols)
+            hs.append(chan.h)
+            noises.append(noise)
+            starts.append(self.system.decoder.initial_estimate(rng, 1).values[0])
+        grids = np.stack(grids)
         with no_grad():
-            result = self.system.run_batch(grid.symbols[None], chan.h[None], noise,
-                                           rng, train=False)
-        hard = result.hard_symbols(cfg.system.mod_order)[0]
-        sent = symbols_to_bits(grid.symbols, cfg.system.mod_order)
-        got = symbols_to_bits(hard, cfg.system.mod_order)
-        return int(np.sum(sent != got)), sent.size
+            stages = self.system.transmit(grids, train=False)
+            logits, _ = self.system.receive(
+                stages["amplified"], stages["filtered"], np.stack(hs), np.stack(noises),
+                None, train=False, alpha_per_example=True, start=np.stack(starts))
+        hard = hard_decisions(logits.values, cfg.system.mod_order)
+        return _bit_errors(grids, hard, cfg.system.mod_order)
+
+    def _link_draw(self, rng: np.random.Generator, sigma_w2: float):
+        """A frame's symbol grid and channel, the first draws of its stream."""
+        s = self.cfg.system
+        grid = OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
+        chan = draw_channel(rng, s.n_subcarriers, s.n_tx, s.n_rx, self.profile, sigma_w2)
+        return grid, chan
 
     def ccdf_frame(self, frame_index: int) -> float:
         """Worst-antenna PAPR (dB) of the band-limited frame."""
@@ -218,8 +236,15 @@ class _FrameChain:
         return estimate_psd(amplified).bin_power, per_antenna_total
 
 
+def _bit_errors(sent: np.ndarray, detected: np.ndarray, order: int) -> tuple[int, int]:
+    """(bit errors, bits) between sent and detected symbol arrays."""
+    sent_bits = symbols_to_bits(sent, order)
+    got_bits = symbols_to_bits(detected, order)
+    return int(np.sum(sent_bits != got_bits)), sent_bits.size
+
+
 def _map_frames(task, n_frames: int, workers: int) -> list:
-    """Order-preserving map over frame indices, optionally threaded."""
+    """Order-preserving map over frame (or block) indices, optionally threaded."""
     if workers <= 1:
         return [task(i) for i in range(n_frames)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -230,16 +255,30 @@ def _map_frames(task, n_frames: int, workers: int) -> list:
 
 
 def run_ber(cfg: ExperimentConfig) -> tuple[str, list[CurveRecord]]:
-    """BER over the peak-SNR grid; returns (csv text, records)."""
+    """BER over the peak-SNR grid; returns (csv text, records).
+
+    The CAE runs ``CAE_BLOCK_FRAMES`` frames per inference pass; the
+    classical detectors run frame by frame. Either way each frame draws
+    from its own stream, so the CSV does not depend on the block size or
+    the worker count.
+    """
     if not cfg.run.p_snr_db:
         raise ConfigError("p_snr_db grid is empty")
     chain = _FrameChain(cfg)
+    frames = cfg.run.frames
     records = []
     for point_index, p_snr_db in enumerate(cfg.run.p_snr_db):
         sigma_w2 = noise_variance_for_psnr(p_snr_db, cfg.rf.total_power)
-        results = _map_frames(
-            lambda i, p=point_index, s=sigma_w2: chain.ber_frame(i, p, s),
-            cfg.run.frames, cfg.run.workers)
+        if cfg.method.name == "cae":
+            size = CAE_BLOCK_FRAMES
+            results = _map_frames(
+                lambda b, p=point_index, s=sigma_w2: chain.cae_ber_block(
+                    range(b * size, min((b + 1) * size, frames)), p, s),
+                -(-frames // size), cfg.run.workers)
+        else:
+            results = _map_frames(
+                lambda i, p=point_index, s=sigma_w2: chain.ber_frame(i, p, s),
+                frames, cfg.run.workers)
         errors = sum(r[0] for r in results)
         bits = sum(r[1] for r in results)
         ber = errors / bits

@@ -3,25 +3,30 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 SUPPORTED_ORDERS = (4, 16)
 
 
+@lru_cache(maxsize=None)
 def pam_levels(order: int) -> np.ndarray:
     """Per-dimension amplitude levels of a unit-average-energy square QAM.
 
     The real and imaginary parts of an ``order``-QAM symbol each take
     ``sqrt(order)`` equispaced levels; the constellation is scaled so that
-    the mean symbol energy E|s|^2 equals 1. Levels are returned ascending.
+    the mean symbol energy E|s|^2 equals 1. Levels are returned ascending,
+    as a shared read-only array.
     """
     if order not in SUPPORTED_ORDERS:
         raise ValueError(f"unsupported QAM order {order}; expected one of {SUPPORTED_ORDERS}")
     n_levels = int(round(np.sqrt(order)))
     raw = np.arange(-(n_levels - 1), n_levels, 2, dtype=float)
     scale = np.sqrt(2.0 * (n_levels ** 2 - 1) / 3.0)
-    return raw / scale
+    levels = raw / scale
+    levels.setflags(write=False)
+    return levels
 
 
 def qam_alphabet(order: int) -> np.ndarray:
@@ -37,10 +42,12 @@ def nearest_level_index(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return np.searchsorted(edges, values)
 
 
+@lru_cache(maxsize=None)
 def gray_code_table(n_levels: int) -> np.ndarray:
     """Bit patterns, one row per level index, Gray-coded along the level order.
 
-    Row q holds the ``log2(n_levels)`` bits of q ^ (q >> 1), MSB first.
+    Row q holds the ``log2(n_levels)`` bits of q ^ (q >> 1), MSB first. The
+    table is a shared read-only array.
     """
     bits = int(round(np.log2(n_levels)))
     if 2 ** bits != n_levels:
@@ -49,6 +56,7 @@ def gray_code_table(n_levels: int) -> np.ndarray:
     table = np.zeros((n_levels, bits), dtype=np.uint8)
     for b in range(bits):
         table[:, b] = (codes >> (bits - 1 - b)) & 1
+    table.setflags(write=False)
     return table
 
 

@@ -7,10 +7,13 @@ import pytest
 
 from ofdmlab import (Awgn, MultipathTaps, OfdmGrid, draw_channel,
                      idft_oversampled, papr_mimo, qam_alphabet)
-from ofdmlab.baselines import (ClipConfig, SlmCodebook, clip_and_filter,
-                               clip_only, mle_detect, slm_encode, zf_detect)
+from ofdmlab.baselines import (ClipConfig, SlmCodebook, _candidate_vectors,
+                               clip_and_filter, clip_only, mle_detect, slm_encode,
+                               zf_detect)
 from ofdmlab.channel import apply_channel
 from ofdmlab.dsp import Stage, estimate_psd, inband_start
+from ofdmlab.errors import ConfigError, NumericError
+from ofdmlab.modulation import gray_code_table, pam_levels
 
 
 def brute_force_mle(h, y, order):
@@ -151,8 +154,20 @@ class TestMle:
     def test_candidate_guard(self):
         rng = np.random.default_rng(10)
         chan = draw_channel(rng, 1, 6, 6, MultipathTaps(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             mle_detect(chan, np.zeros((1, 6), dtype=complex), 16)
+
+    def test_constant_tables_read_only(self):
+        tables = [_candidate_vectors(4, 2), _candidate_vectors(16, 2),
+                  pam_levels(4), pam_levels(16), gray_code_table(2), gray_code_table(4)]
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[0] = table[1]
+            with pytest.raises(ValueError):
+                table *= 2
+        assert _candidate_vectors(4, 2) is tables[0]
+        assert pam_levels(16) is tables[3]
+        assert np.array_equal(pam_levels(4), np.array([-1.0, 1.0]) / np.sqrt(2.0))
 
 
 class TestZf:
@@ -190,5 +205,5 @@ class TestZf:
         h = np.zeros((1, 2, 2), dtype=complex)
         h[0, 0, 0] = 1.0   # rank deficient
         chan = ChannelRealization(h, 0.0, np.ones(1))
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericError):
             zf_detect(chan, np.zeros((1, 2), dtype=complex), 4)

@@ -54,6 +54,67 @@ class TestExitCodes:
         assert main(["gradcheck"]) == 2
 
 
+BAD_INPUTS = {   # name -> (text replacements applied to BASE, words of the message)
+    "ibo_nan": ([("amplifier = linear", "amplifier = rapp\nibo_db = nan")], "ibo_db"),
+    "psnr_inf": ([("p_snr_db = 10", "p_snr_db = 10, inf")], "p_snr_db"),
+    "taps_over_k": ([("n_subcarriers = 24", "n_subcarriers = 16"),
+                     ("[rf]", "[channel]\nprofile = multipath\ntaps = 100\n[rf]")], "taps"),
+    "slm_zero": ([("[rf]", "[method]\nname = slm\nslm_candidates = 0\n[rf]")],
+                 "slm_candidates"),
+    "power_zero": ([("amplifier = linear", "amplifier = rapp\ntotal_power = 0")],
+                   "total_power"),
+    "clip_inf": ([("[rf]", "[method]\nname = cf\nclip_ratio_db = inf\n[rf]")],
+                 "clip_ratio_db"),
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("name", sorted(BAD_INPUTS))
+    def test_refused_as_config_error(self, name, tmp_path, capsys):
+        replacements, words = BAD_INPUTS[name]
+        text = BASE
+        for old, new in replacements:
+            assert old in text
+            text = text.replace(old, new)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "ber.csv"
+        assert main(["ber", "--config", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and words in err[0]
+        assert not out.exists()
+
+    def test_mle_guard_refused_before_any_frame(self, tmp_path, capsys, monkeypatch):
+        import ofdmlab.harness as harness
+
+        def no_frames(*args):
+            raise AssertionError("a frame ran")
+
+        monkeypatch.setattr(harness._FrameChain, "ber_frame", no_frames)
+        path = tmp_path / "big.cfg"
+        path.write_text(BASE.replace("n_tx = 2\nn_rx = 2", "n_tx = 6\nn_rx = 6")
+                        .replace("mod_order = 4", "mod_order = 16"))
+        assert main(["ber", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and "guard" in err[0]
+
+    def test_singular_zf_channel_is_exit_two(self, cfg_file, tmp_path, capsys, monkeypatch):
+        import ofdmlab.harness as harness
+        from ofdmlab import ChannelRealization
+
+        def rank_one(rng, n_sub, n_tx, n_rx, profile, sigma_w2):
+            h = np.zeros((n_sub, n_rx, n_tx), dtype=complex)
+            h[:, 0, 0] = 1.0
+            return ChannelRealization(h, sigma_w2, np.ones(1))
+
+        monkeypatch.setattr(harness, "draw_channel", rank_one)
+        path = tmp_path / "zf.cfg"
+        path.write_text(BASE + "\n[detector]\nname = zf\n")
+        assert main(["ber", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["numeric error: channel matrix at subcarrier 0 is singular"]
+
+
 class TestDeterminism:
     def test_ber_rerun_byte_identical(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,0 +1,49 @@
+"""Property tests: BER output does not depend on how the frames are split."""
+
+from dataclasses import replace
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from ofdmlab import harness  # noqa: E402
+from ofdmlab.cae import training  # noqa: E402
+from ofdmlab.cae.pipeline import build_system  # noqa: E402
+from ofdmlab.config import parse_config  # noqa: E402
+
+SYSTEM = ("[system]\nn_tx = 2\nn_rx = 2\nn_subcarriers = 16\noversample = 4\nmod_order = 4\n"
+          "[channel]\nprofile = multipath\ntaps = 4\n[rf]\nibo_db = 9.0\n"
+          "[run]\np_snr_db = 4, 16\n")
+
+
+@pytest.fixture(scope="module")
+def configs(tmp_path_factory):
+    checkpoint = tmp_path_factory.mktemp("cae") / "cae.bin"
+    smoke = training.TrainConfig(n_tx=2, n_rx=2, n_subcarriers=16, oversample=4,
+                                 mod_order=4, channel_taps=0, epochs=1,
+                                 gradual_start_epoch=1, batches_per_epoch=1,
+                                 batch_size=4, ibo_db=9.0, seed=6)
+    training.save_system(checkpoint, build_system(2, 2, 16, 4, 4, ibo_db=9.0, seed=6), smoke)
+    return {
+        "mle": parse_config(SYSTEM + "[method]\nname = cf\n[detector]\nname = mle\n"),
+        "zf": parse_config(SYSTEM + "[method]\nname = slm\nslm_candidates = 4\n"
+                                    "[detector]\nname = zf\n"),
+        "cae": parse_config(SYSTEM + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
+                                     "[detector]\nname = cae\n"),
+    }
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(detector=st.sampled_from(["mle", "zf", "cae"]),
+       seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 12),
+       block=st.integers(1, 13), workers=st.sampled_from([1, 2]))
+def test_ber_csv_independent_of_block_and_workers(configs, detector, seed, frames,
+                                                  block, workers):
+    cfg = configs[detector]
+    cfg = replace(cfg, run=replace(cfg.run, seed=seed, frames=frames))
+    reference, _ = harness.run_ber(cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "CAE_BLOCK_FRAMES", block)
+        text, _ = harness.run_ber(replace(cfg, run=replace(cfg.run, workers=workers)))
+    assert text == reference
