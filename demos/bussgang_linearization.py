@@ -19,7 +19,7 @@ print(" IBO    alpha          |residual| / |signal|   E(res * conj(in))")
 for ibo_db in (0.0, 3.0, 6.0, 9.0, 12.0):
     backed = apply_ibo(filtered, ibo_db, params)
     hot = rapp_amplify(backed, params)
-    alpha = bussgang_alpha(filtered, hot).alpha
+    alpha = bussgang_alpha(filtered, hot)
     residual = hot.samples - alpha * filtered.samples
     ratio = np.sqrt(np.mean(np.abs(residual) ** 2) / np.mean(np.abs(hot.samples) ** 2))
     cross = np.mean(residual * np.conj(filtered.samples))

@@ -10,24 +10,19 @@ Library layers:
 
 from . import autodiff
 from .modulation import OfdmGrid, grid_bits, qam_alphabet, pam_levels, symbols_to_bits
-from .dsp import (PsdConfig, PsdEstimate, Stage, TimeFrame, average_psd,
-                  dft_unpad, estimate_psd, idft_oversampled, normalize_power,
-                  papr, papr_db, papr_mimo)
-from .rf import (BussgangFactor, RappParams, SpectralReport, acpr, apply_ibo,
-                 bandpass_filter, bussgang_alpha, obo, rapp_amplify,
-                 spectral_report)
+from .dsp import (PsdEstimate, Stage, TimeFrame, dft_unpad, estimate_psd,
+                  idft_oversampled, papr, papr_db, papr_mimo, synthesize)
+from .rf import (RappParams, acpr, apply_ibo, bandpass_filter, bussgang_alpha,
+                 obo, rapp_amplify)
 from .channel import (Awgn, ChannelRealization, MultipathTaps, apply_channel,
-                      complexify, draw_channel, matched_features,
-                      noise_variance_for_psnr, realify, realify_matrix)
+                      draw_channel, noise_variance_for_psnr)
 
 __all__ = [
-    "Awgn", "BussgangFactor", "ChannelRealization", "MultipathTaps",
-    "OfdmGrid", "PsdConfig", "PsdEstimate", "RappParams", "SpectralReport",
-    "Stage", "TimeFrame", "acpr", "apply_channel", "apply_ibo", "autodiff",
-    "average_psd", "bandpass_filter", "bussgang_alpha", "complexify",
-    "dft_unpad", "draw_channel", "estimate_psd", "grid_bits",
-    "idft_oversampled", "matched_features", "noise_variance_for_psnr",
-    "normalize_power", "obo", "papr", "papr_db", "papr_mimo", "pam_levels",
-    "qam_alphabet", "rapp_amplify", "realify", "realify_matrix",
-    "spectral_report", "symbols_to_bits",
+    "Awgn", "ChannelRealization", "MultipathTaps", "OfdmGrid", "PsdEstimate",
+    "RappParams", "Stage", "TimeFrame", "acpr", "apply_channel", "apply_ibo",
+    "autodiff", "bandpass_filter", "bussgang_alpha", "dft_unpad",
+    "draw_channel", "estimate_psd", "grid_bits", "idft_oversampled",
+    "noise_variance_for_psnr", "obo", "papr", "papr_db", "papr_mimo",
+    "pam_levels", "qam_alphabet", "rapp_amplify", "symbols_to_bits",
+    "synthesize",
 ]

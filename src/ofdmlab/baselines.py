@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelRealization
-from .dsp import Stage, TimeFrame, idft_oversampled, papr
+from .dsp import Stage, TimeFrame, synthesize
 from .errors import ConfigError, NumericError
 from .modulation import OfdmGrid, nearest_level_index, pam_levels, qam_alphabet
 from .rf import bandpass_filter
@@ -70,24 +70,8 @@ class SlmCodebook:
         return cls(phases, seed)
 
 
-def clip_and_filter(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
-    """Hard-limit the envelope at rms * 10^(ratio/20), then band-limit.
-
-    Single clip+filter pass; the filter restores strict band limitation at
-    the price of some peak regrowth.
-    """
-    power = frame.mean_power()
-    if power == 0.0:
-        raise ValueError("cannot clip an all-zero frame")
-    limit = np.sqrt(power) * 10.0 ** (cfg.clip_ratio_db / 20.0)
-    magnitude = np.abs(frame.samples)
-    scale = np.where(magnitude > limit, limit / np.maximum(magnitude, 1e-300), 1.0)
-    clipped = frame.with_samples(frame.samples * scale)
-    return bandpass_filter(clipped)
-
-
 def clip_only(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
-    """The clipping stage alone (useful for spectral-regrowth comparisons)."""
+    """Hard-limit the envelope at rms * 10^(ratio/20); phase preserved."""
     power = frame.mean_power()
     if power == 0.0:
         raise ValueError("cannot clip an all-zero frame")
@@ -97,6 +81,15 @@ def clip_only(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
     return frame.with_samples(frame.samples * scale)
 
 
+def clip_and_filter(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
+    """One clip pass, then the band-pass filter.
+
+    The filter restores strict band limitation at the price of some peak
+    regrowth.
+    """
+    return bandpass_filter(clip_only(frame, cfg))
+
+
 def slm_encode(grid: OfdmGrid, book: SlmCodebook, oversample: int) -> tuple[TimeFrame, int]:
     """Pick the candidate phase sequence with the lowest worst-antenna PAPR.
 
@@ -104,12 +97,10 @@ def slm_encode(grid: OfdmGrid, book: SlmCodebook, oversample: int) -> tuple[Time
     frame of the winner and its index (side information for the receiver).
     """
     symbols = grid.symbols
-    n_ant, k = symbols.shape
-    if book.phases.shape[1] != k:
+    if book.phases.shape[1] != symbols.shape[1]:
         raise ValueError("codebook length does not match the grid")
     candidates = book.phases[:, None, :] * symbols[None, :, :]
-    stacked = idft_oversampled(candidates.reshape(-1, k), oversample)
-    rows = stacked.samples.reshape(book.n_candidates, n_ant, -1)
+    rows = synthesize(candidates, oversample)
     power = np.abs(rows) ** 2
     per_antenna = power.max(axis=2) / power.mean(axis=2)
     worst = per_antenna.max(axis=1)

@@ -35,10 +35,6 @@ def cp_const(z: np.ndarray) -> CPair:
     return CPair(as_tensor(z.real.copy()), as_tensor(z.imag.copy()))
 
 
-def cp_add(a: CPair, b: CPair) -> CPair:
-    return CPair(a.re + b.re, a.im + b.im)
-
-
 def cp_scale(a: CPair, s) -> CPair:
     """Multiply by a real scalar/tensor (broadcasting allowed)."""
     return CPair(a.re * s, a.im * s)
@@ -52,19 +48,6 @@ def cp_mul_complex(a: CPair, c) -> CPair:
 
 def cp_abs2(a: CPair) -> DiffTensor:
     return a.re * a.re + a.im * a.im
-
-
-def cp_matmul(a: CPair, b: CPair) -> CPair:
-    """Complex matmul where either side may carry gradients."""
-    return CPair(
-        matmul(a.re, b.re) - matmul(a.im, b.im),
-        matmul(a.re, b.im) + matmul(a.im, b.re),
-    )
-
-
-def realify_pair(a: CPair, axis: int = -1) -> DiffTensor:
-    """Concatenate [Re-block | Im-block] along ``axis``."""
-    return concat([a.re, a.im], axis=axis)
 
 
 def complexify_tensor(t: DiffTensor, axis: int = -1) -> CPair:
@@ -128,7 +111,6 @@ class DftBank:
 
     n_bins: int
     n_inband: int
-    synth_t: np.ndarray       # [n_inband, n_bins]
     analysis_t: np.ndarray    # [n_bins, n_inband]
     fwd_shift_t: np.ndarray   # [n_bins, n_bins]
     inv_shift_t: np.ndarray   # [n_bins, n_bins]
@@ -140,7 +122,6 @@ class DftBank:
         return cls(
             n_bins=n_bins,
             n_inband=n_inband,
-            synth_t=synthesis_matrix(n_bins, n_inband).T.copy(),
             analysis_t=analysis_matrix(n_bins, n_inband).T.copy(),
             fwd_shift_t=fwd.T.copy(),
             inv_shift_t=(fwd.conj().T / n_bins).T.copy(),

@@ -13,23 +13,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import DiffTensor, as_tensor, matmul, reshape, tmean, transpose
-from ..dsp import inband_start
+from ..dsp import synthesize
 from ..modulation import pam_levels, symbols_to_level_indices
 from ..rf import RappParams
 from .complexpair import (CPair, DftBank, complexify_tensor, cp_abs2,
                           cp_mul_complex, cp_scale, cp_transform)
 from .losses import loss_acpr, loss_papr, loss_reconstruction
 from .model import DecoderNet, EncoderNet, hard_decisions, probabilities
-
-
-def synthesize_time_frames(grids: np.ndarray, oversample: int) -> np.ndarray:
-    """Batch IDFT of symbol grids [B, A, K] -> [B, A, L*K] complex."""
-    n_batch, n_ant, k = grids.shape
-    n = oversample * k
-    spectrum = np.zeros((n_batch, n_ant, n), dtype=np.complex128)
-    start = inband_start(n, k)
-    spectrum[:, :, start:start + k] = grids
-    return (n / np.sqrt(k)) * np.fft.ifft(np.fft.ifftshift(spectrum, axes=2), axis=2)
 
 
 def tape_bandpass(frame: CPair, bank: DftBank) -> CPair:
@@ -126,7 +116,7 @@ class CaeSystem:
     def transmit(self, grids: np.ndarray, train: bool) -> dict:
         """Run the transmit side; returns every pipeline stage as tape pairs."""
         n_batch = grids.shape[0]
-        raw = synthesize_time_frames(grids, self.oversample)
+        raw = synthesize(grids, self.oversample)
         enc_in = np.concatenate([raw.real, raw.imag], axis=2)
         enc_in = as_tensor(enc_in.reshape(n_batch, 1, self.n_tx, -1))
         encoded_rows = self.encoder.forward(enc_in, train)

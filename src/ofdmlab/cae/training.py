@@ -9,6 +9,7 @@ seed, so a rerun reproduces logs and checkpoints bit for bit.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -17,10 +18,12 @@ import numpy as np
 from ..autodiff import AdamW, no_grad
 from ..autodiff.checkpoint import load_tensors, save_tensors
 from ..channel import Awgn, MultipathTaps, draw_channel, noise_variance_for_psnr
+from ..config import TrainSection
 from ..csvio import write_csv
-from ..errors import NumericError
+from ..errors import ConfigError, NumericError
 from ..modulation import qam_alphabet, symbols_to_bits
 from .losses import LagrangianState, total_loss, update_multipliers
+from .model import hard_decisions
 from .pipeline import CaeSystem, build_system
 
 LOG_HEADER = ["epoch", "l1", "l2a", "l2b", "l3",
@@ -32,8 +35,12 @@ ACTIVATION_CODES = {"selu": 0, "gelu": 1}
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters; the defaults are the full-scale training recipe."""
+class TrainConfig(TrainSection):
+    """The training recipe plus the link it trains for.
+
+    The defaults are the full-scale recipe: 16-QAM 4x4 over the 13-tap
+    fading profile.
+    """
 
     n_tx: int = 4
     n_rx: int = 4
@@ -42,34 +49,10 @@ class TrainConfig:
     mod_order: int = 16
     channel_taps: int = 13            # 0 selects the fixed identity-like channel
     channel_decay: float | None = None
-    lr: float = 0.001
-    weight_decay: float = 0.01
-    epochs: int = 140
-    gradual_start_epoch: int = 45
-    train_snr_db: float = 40.0
-    lambda_2a_init: float = 0.015
-    lambda_2b_init: float = 0.001
-    lambda_3_init: float = 0.005
-    rho_2a: float = 0.0015
-    rho_2b: float = 0.00001
-    rho_3: float = 0.001
-    batch_size: int = 32
-    batches_per_epoch: int = 4375
-    acpr_req_db: float = -45.0
     ibo_db: float = 6.0
     total_power: float = 1.0
     smoothness: float = 2.0
-    decoder_iterations: int = 10
-    activation: str = "selu"
-    init_scale: float = 1.0
     seed: int = 0
-
-    def __post_init__(self):
-        # gradual_start_epoch == epochs + 1 runs pure reconstruction training
-        if not 1 <= self.gradual_start_epoch <= self.epochs + 1:
-            raise ValueError("gradual_start_epoch must lie within [1, epochs + 1]")
-        if self.batch_size < 2:
-            raise ValueError("batch norm needs a batch size of at least 2")
 
     def channel_profile(self):
         if self.channel_taps == 0:
@@ -134,7 +117,7 @@ def train(cfg: TrainConfig, data=None, checkpoint_path=None, log_path=None,
     system = build_from_config(cfg)
     params = system.parameters()
     optimizer = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    state = LagrangianState(cfg.lambda_2a_init, cfg.lambda_2b_init, cfg.lambda_3_init,
+    state = LagrangianState(cfg.lambda_2a, cfg.lambda_2b, cfg.lambda_3,
                             cfg.rho_2a, cfg.rho_2b, cfg.rho_3)
     sigma_w2 = noise_variance_for_psnr(cfg.train_snr_db, cfg.total_power)
     data_iter = iter(data) if data is not None else None
@@ -211,20 +194,29 @@ def save_system(path, system: CaeSystem, cfg: TrainConfig):
 
 
 def load_system(path) -> CaeSystem:
-    """Rebuild a system from a checkpoint written by :func:`save_system`."""
-    tensors = load_tensors(path)
-    meta = {k.split("/", 1)[1]: float(v) for k, v in tensors.items() if k.startswith("meta/")}
-    activation = {v: k for k, v in ACTIVATION_CODES.items()}[int(meta["activation"])]
-    system = build_system(
-        int(meta["n_tx"]), int(meta["n_rx"]), int(meta["n_subcarriers"]),
-        int(meta["oversample"]), int(meta["mod_order"]), meta["ibo_db"],
-        total_power=meta["total_power"], smoothness=meta["smoothness"],
-        acpr_req_db=meta["acpr_req_db"], iterations=int(meta["decoder_iterations"]),
-        activation=activation)
-    for name, p in system.parameters().items():
-        p.values[...] = tensors[name]
-    for name, buf in system.buffers().items():
-        buf[...] = tensors[name]
+    """Rebuild a system from a checkpoint written by :func:`save_system`.
+
+    A missing, truncated or foreign file, or one that lacks an entry the
+    rebuilt system needs, is a ConfigError naming the path.
+    """
+    try:
+        tensors = load_tensors(path)
+        meta = {k.split("/", 1)[1]: float(v) for k, v in tensors.items() if k.startswith("meta/")}
+        activation = {v: k for k, v in ACTIVATION_CODES.items()}[int(meta["activation"])]
+        system = build_system(
+            int(meta["n_tx"]), int(meta["n_rx"]), int(meta["n_subcarriers"]),
+            int(meta["oversample"]), int(meta["mod_order"]), meta["ibo_db"],
+            total_power=meta["total_power"], smoothness=meta["smoothness"],
+            acpr_req_db=meta["acpr_req_db"], iterations=int(meta["decoder_iterations"]),
+            activation=activation)
+        for name, p in system.parameters().items():
+            p.values[...] = tensors[name]
+        for name, buf in system.buffers().items():
+            buf[...] = tensors[name]
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint {path} has no entry {exc}") from exc
+    except (OSError, ValueError, struct.error) as exc:
+        raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
     return system
 
 
@@ -244,8 +236,10 @@ def evaluate_ber(system: CaeSystem, cfg: TrainConfig, p_snr_db: float,
         rng = counter_rng(seed, index, _EVAL_STREAM)
         grids, h, noise = make_batch(rng, cfg, sigma_w2, n_examples=n)
         with no_grad():
-            result = system.run_batch(grids, h, noise, rng, train=False)
-        hard = result.hard_symbols(cfg.mod_order)
+            stages = system.transmit(grids, train=False)
+            logits, _ = system.receive(stages["amplified"], stages["filtered"], h, noise,
+                                       rng, train=False, alpha_per_example=True)
+        hard = hard_decisions(logits.values, cfg.mod_order)
         sent = symbols_to_bits(grids, cfg.mod_order)
         got = symbols_to_bits(hard, cfg.mod_order)
         errors += int(np.sum(sent != got))

@@ -1,4 +1,4 @@
-"""Per-subcarrier MIMO fading channels, AWGN, and real-valued repacking.
+"""Per-subcarrier MIMO fading channels and AWGN.
 
 Frequency-selective realizations are generated from i.i.d. Gaussian tap
 matrices with an exponential power-delay profile and transformed to one
@@ -122,51 +122,3 @@ def apply_channel(x_freq: np.ndarray, chan: ChannelRealization,
         noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
         y = y + noise * np.sqrt(chan.sigma_w2 / 2.0)
     return y
-
-
-def realify(z: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Concatenate real and imaginary parts along ``axis`` ([Re-block; Im-block])."""
-    z = np.asarray(z, dtype=np.complex128)
-    return np.concatenate([z.real, z.imag], axis=axis)
-
-
-def complexify(r: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Inverse of :func:`realify`; the chosen axis must have even length."""
-    r = np.asarray(r, dtype=float)
-    n = r.shape[axis]
-    if n % 2 != 0:
-        raise ValueError("realified axis must have even length")
-    re = np.take(r, np.arange(n // 2), axis=axis)
-    im = np.take(r, np.arange(n // 2, n), axis=axis)
-    return re + 1j * im
-
-
-def realify_matrix(h: np.ndarray) -> np.ndarray:
-    """Block form [[Re, -Im], [Im, Re]] of a complex matrix.
-
-    Multiplying this block matrix with a realified vector equals realifying
-    the complex matrix-vector product.
-    """
-    h = np.asarray(h, dtype=np.complex128)
-    if h.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    return np.block([[h.real, -h.imag], [h.imag, h.real]])
-
-
-def matched_features(chan: ChannelRealization, y: np.ndarray,
-                     x_hat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-subcarrier matched-filter products (H^H y, H^H H x_hat).
-
-    ``y`` is [n_sub, n_rx] and ``x_hat`` is [n_sub, n_tx]; both outputs are
-    [n_sub, n_tx].
-    """
-    y = np.asarray(y, dtype=np.complex128)
-    x_hat = np.asarray(x_hat, dtype=np.complex128)
-    if y.shape != (chan.n_subcarriers, chan.n_rx):
-        raise ValueError("y shape does not match the channel")
-    if x_hat.shape != (chan.n_subcarriers, chan.n_tx):
-        raise ValueError("x_hat shape does not match the channel")
-    hy = np.einsum("krt,kr->kt", np.conj(chan.h), y)
-    hx = np.einsum("krt,kt->kr", chan.h, x_hat)
-    hhx = np.einsum("krt,kr->kt", np.conj(chan.h), hx)
-    return hy, hhx

@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .config import ExperimentConfig, load_config, with_overrides
@@ -37,10 +37,7 @@ def _build_parser() -> argparse.ArgumentParser:
     acpr_p = sub.add_parser("acpr-obo", help="ACPR/OBO table over several configs")
     acpr_p.add_argument("--config", required=True, nargs="+",
                         help="one or more experiment config files")
-    acpr_p.add_argument("--seed", type=int, default=None)
-    acpr_p.add_argument("--out", default=None)
-    acpr_p.add_argument("--frames", type=int, default=None)
-    acpr_p.add_argument("--workers", type=int, default=None)
+    add_common(acpr_p, needs_config=False)
     grad_p = sub.add_parser("gradcheck", help="finite-difference verification")
     grad_p.add_argument("--seed", type=int, default=0)
     return parser
@@ -55,22 +52,14 @@ def _load(args) -> ExperimentConfig:
 def train_config(cfg: ExperimentConfig):
     """The TrainConfig an experiment file's [system], [channel], [rf] and [train] describe."""
     from .cae.training import TrainConfig
-    t = cfg.train
     s = cfg.system
-    taps = 0 if cfg.channel.profile == "awgn" else cfg.channel.taps
     return TrainConfig(
+        **asdict(cfg.train),
         n_tx=s.n_tx, n_rx=s.n_rx, n_subcarriers=s.n_subcarriers,
         oversample=s.oversample, mod_order=s.mod_order,
-        channel_taps=taps, channel_decay=cfg.channel.decay,
-        lr=t.lr, weight_decay=t.weight_decay, epochs=t.epochs,
-        gradual_start_epoch=t.gradual_start_epoch, train_snr_db=t.train_snr_db,
-        lambda_2a_init=t.lambda_2a, lambda_2b_init=t.lambda_2b,
-        lambda_3_init=t.lambda_3, rho_2a=t.rho_2a, rho_2b=t.rho_2b,
-        rho_3=t.rho_3, batch_size=t.batch_size,
-        batches_per_epoch=t.batches_per_epoch, acpr_req_db=t.acpr_req_db,
-        ibo_db=cfg.rf.ibo_db, total_power=cfg.rf.total_power,
-        smoothness=cfg.rf.smoothness, decoder_iterations=t.decoder_iterations,
-        activation=t.activation, init_scale=t.init_scale, seed=cfg.run.seed)
+        channel_taps=0 if cfg.channel.profile == "awgn" else cfg.channel.taps,
+        channel_decay=cfg.channel.decay, ibo_db=cfg.rf.ibo_db,
+        total_power=cfg.rf.total_power, smoothness=cfg.rf.smoothness, seed=cfg.run.seed)
 
 
 def _clock(seconds: float) -> str:

@@ -14,15 +14,8 @@ import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
+from .autodiff import ACTIVATIONS
 from .errors import ConfigError
-
-
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "yes", "1"):
-        return True
-    if text.lower() in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -83,6 +76,8 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class TrainSection:
+    """The training recipe; every value is checked here, once, on construction."""
+
     lr: float = 0.001
     weight_decay: float = 0.01
     epochs: int = 140
@@ -100,6 +95,27 @@ class TrainSection:
     decoder_iterations: int = 10
     activation: str = "selu"
     init_scale: float = 1.0
+
+    def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ConfigError(f"unknown activation {self.activation!r} "
+                              f"(one of: {', '.join(ACTIVATIONS)})")
+        for name in ("decoder_iterations", "epochs", "batches_per_epoch"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1")
+        if self.batch_size < 2:
+            raise ConfigError("batch_size must be >= 2: batch norm needs two examples")
+        # gradual_start_epoch == epochs + 1 runs pure reconstruction training
+        if not 1 <= self.gradual_start_epoch <= self.epochs + 1:
+            raise ConfigError("gradual_start_epoch must lie within [1, epochs + 1]")
+        for name in ("rho_2a", "rho_2b", "rho_3"):
+            if not getattr(self, name) > 0.0:
+                raise ConfigError(f"{name} must be positive")
+        if not self.lambda_3 >= 0.0:
+            raise ConfigError("lambda_3 must be >= 0")
+        for name in ("lr", "weight_decay", "train_snr_db", "acpr_req_db", "init_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Complex-signal primitives shared by the whole transmit/receive chain.
 
 Oversampled OFDM synthesis and analysis, peak-to-average power metrics,
-power normalization, and Welch PSD estimation. The data subcarriers occupy
+and the per-frame periodogram. The data subcarriers occupy
 the centre of the sampled spectrum; the outer (L-1)*K bins are the
 oversampling guard band. All functions are pure and never mutate a frame.
 """
@@ -89,22 +89,9 @@ class PsdEstimate:
         return float(self.bin_power.sum())
 
 
-@dataclass(frozen=True)
-class PsdConfig:
-    """Welch settings: rectangular window, no overlap, averaged segments."""
-
-    segment_len: int | None = None
-
-
 def inband_start(n_bins: int, n_inband: int) -> int:
     """First index of the centred data band in a shifted spectrum of ``n_bins``."""
     return (n_bins - n_inband) // 2
-
-
-def subcarrier_frequencies(n_bins: int, n_inband: int) -> np.ndarray:
-    """Signed integer frequency (cycles per frame) of each data subcarrier."""
-    start = inband_start(n_bins, n_inband)
-    return np.arange(n_inband) + start - n_bins // 2
 
 
 def _as_symbol_matrix(grid) -> np.ndarray:
@@ -114,23 +101,27 @@ def _as_symbol_matrix(grid) -> np.ndarray:
     return symbols
 
 
-def idft_oversampled(grid, L: int) -> TimeFrame:
-    """Synthesize the oversampled time-domain frame of a symbol grid.
+def synthesize(symbols: np.ndarray, L: int) -> np.ndarray:
+    """Oversampled time samples of symbol rows: [..., A, K] -> [..., A, L*K].
 
-    Each antenna row of the K-bin grid is placed on the K centre bins of an
-    L*K-bin spectrum and transformed with an inverse FFT scaled by 1/sqrt(K),
-    so a unit-energy grid yields a unit-mean-power frame independent of L.
+    Each K-bin row is placed on the K centre bins of an L*K-bin spectrum and
+    transformed with an inverse FFT scaled by 1/sqrt(K), so a unit-energy
+    grid yields unit mean power independent of L. Rows are independent: a
+    stack of grids gives the same samples as one grid at a time.
     """
     if L < 1:
         raise ValueError("oversampling factor must be >= 1")
-    symbols = _as_symbol_matrix(grid)
-    n_ant, k = symbols.shape
+    k = symbols.shape[-1]
     n = L * k
-    spectrum = np.zeros((n_ant, n), dtype=np.complex128)
+    spectrum = np.zeros(symbols.shape[:-1] + (n,), dtype=np.complex128)
     start = inband_start(n, k)
-    spectrum[:, start:start + k] = symbols
-    samples = (n / np.sqrt(k)) * np.fft.ifft(np.fft.ifftshift(spectrum, axes=1), axis=1)
-    return TimeFrame(samples, L=L, stage=Stage.RAW)
+    spectrum[..., start:start + k] = symbols
+    return (n / np.sqrt(k)) * np.fft.ifft(np.fft.ifftshift(spectrum, axes=-1), axis=-1)
+
+
+def idft_oversampled(grid, L: int) -> TimeFrame:
+    """Synthesize the oversampled time-domain frame of one symbol grid."""
+    return TimeFrame(synthesize(_as_symbol_matrix(grid), L), L=L, stage=Stage.RAW)
 
 
 def dft_unpad(frame: TimeFrame, n_inband: int) -> np.ndarray:
@@ -168,37 +159,12 @@ def papr_mimo(frame: TimeFrame) -> float:
     return max(papr(row) for row in frame.samples)
 
 
-def normalize_power(frame: TimeFrame) -> TimeFrame:
-    """Scale a frame by one global real factor to unit mean power."""
-    power = frame.mean_power()
-    if power == 0.0:
-        raise ValueError("cannot normalize an all-zero frame")
-    return frame.with_samples(frame.samples / np.sqrt(power))
+def estimate_psd(frame: TimeFrame) -> PsdEstimate:
+    """Rectangular-window periodogram of each antenna row, averaged over rows.
 
-
-def estimate_psd(frame: TimeFrame, cfg: PsdConfig | None = None) -> PsdEstimate:
-    """Welch-averaged periodogram over all antennas of a frame.
-
-    Rows are chopped into non-overlapping rectangular-window segments
-    (default: the whole row, i.e. one OFDM symbol) whose periodograms are
-    averaged. Bin powers sum to the mean signal power (Parseval).
+    Bin powers sum to the mean signal power (Parseval).
     """
-    cfg = cfg or PsdConfig()
-    seg_len = cfg.segment_len if cfg.segment_len is not None else frame.n_samples
-    if seg_len < 1 or seg_len > frame.n_samples:
-        raise ValueError("segment length must be in [1, frame length]")
-    n_seg = frame.n_samples // seg_len
-    rows = frame.samples[:, :n_seg * seg_len].reshape(frame.n_antennas * n_seg, seg_len)
-    spectrum = np.fft.fftshift(np.fft.fft(rows, axis=1), axes=1)
-    bin_power = (np.abs(spectrum) ** 2 / seg_len ** 2).mean(axis=0)
-    return PsdEstimate(bin_power, 1.0 / seg_len)
-
-
-def average_psd(estimates: list[PsdEstimate]) -> PsdEstimate:
-    """Bin-wise mean of equally shaped PSD estimates (Welch across frames)."""
-    if not estimates:
-        raise ValueError("no estimates to average")
-    spacing = estimates[0].bin_spacing
-    if any(e.bin_spacing != spacing or e.n_bins != estimates[0].n_bins for e in estimates):
-        raise ValueError("estimates must share bin layout")
-    return PsdEstimate(np.mean([e.bin_power for e in estimates], axis=0), spacing)
+    n = frame.n_samples
+    spectrum = np.fft.fftshift(np.fft.fft(frame.samples, axis=1), axes=1)
+    bin_power = (np.abs(spectrum) ** 2 / n ** 2).mean(axis=0)
+    return PsdEstimate(bin_power, 1.0 / n)

@@ -23,7 +23,7 @@ from .channel import (Awgn, MultipathTaps, apply_channel, draw_channel,
                       noise_variance_for_psnr)
 from .config import ExperimentConfig
 from .csvio import write_csv
-from .dsp import (PsdConfig, Stage, TimeFrame, dft_unpad, estimate_psd,
+from .dsp import (PsdEstimate, Stage, TimeFrame, dft_unpad, estimate_psd,
                   idft_oversampled, papr_mimo)
 from .errors import ConfigError, NumericError
 from .modulation import OfdmGrid, qam_alphabet, symbols_to_bits
@@ -105,17 +105,26 @@ class _FrameChain:
     def filtered_frame(self, grid: OfdmGrid) -> tuple[TimeFrame, np.ndarray | None]:
         """Method-specific band-limited frame plus SLM phases if any."""
         cfg = self.cfg
-        if cfg.method.name == "none":
-            raw = idft_oversampled(grid, cfg.system.oversample)
-            return bandpass_filter(raw), None
+        oversample = cfg.system.oversample
+        if cfg.method.name == "cae":
+            with no_grad():
+                stages = self.system.transmit(grid.symbols[None], train=False)
+            return TimeFrame(stages["filtered"].values()[0], oversample, Stage.FILTERED), None
+        if cfg.method.name == "slm":
+            frame, index = baselines.slm_encode(grid, self.book, oversample)
+            return bandpass_filter(frame), self.book.phases[index]
+        raw = idft_oversampled(grid, oversample)
         if cfg.method.name == "cf":
-            raw = idft_oversampled(grid, cfg.system.oversample)
             clip = baselines.ClipConfig(cfg.method.clip_ratio_db)
             return baselines.clip_and_filter(raw, clip), None
-        if cfg.method.name == "slm":
-            frame, index = baselines.slm_encode(grid, self.book, cfg.system.oversample)
-            return bandpass_filter(frame), self.book.phases[index]
-        raise ConfigError(f"method {cfg.method.name!r} has no classical chain")
+        return bandpass_filter(raw), None
+
+    def drawn_filtered(self, frame_index: int) -> TimeFrame:
+        """The band-limited frame of a transmit-only run's frame ``frame_index``."""
+        s = self.cfg.system
+        rng = frame_rng(self.cfg.run.seed, frame_index, 0)
+        grid = OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
+        return self.filtered_frame(grid)[0]
 
     def amplified(self, filtered: TimeFrame) -> tuple[TimeFrame, TimeFrame, complex]:
         """IBO + amplifier; returns (backed_off, amplified, bussgang gain).
@@ -129,7 +138,7 @@ class _FrameChain:
             return backed, amplified, 1.0 + 0.0j
         backed = apply_ibo(filtered, self.cfg.rf.ibo_db, self.params)
         amplified = rapp_amplify(backed, self.params)
-        alpha = bussgang_alpha(filtered, amplified).alpha
+        alpha = bussgang_alpha(filtered, amplified)
         return backed, amplified, alpha
 
     # -- one full link -------------------------------------------------------
@@ -187,51 +196,18 @@ class _FrameChain:
 
     def ccdf_frame(self, frame_index: int) -> float:
         """Worst-antenna PAPR (dB) of the band-limited frame."""
-        cfg = self.cfg
-        rng = frame_rng(cfg.run.seed, frame_index, 0)
-        grid = OfdmGrid.random(rng, cfg.system.n_tx, cfg.system.n_subcarriers,
-                               cfg.system.mod_order)
-        if cfg.method.name == "cae":
-            with no_grad():
-                stages = self.system.transmit(grid.symbols[None], train=False)
-            filtered_rows = stages["filtered"].values()[0]
-            frame = TimeFrame(filtered_rows, cfg.system.oversample, Stage.FILTERED)
-        else:
-            frame, _ = self.filtered_frame(grid)
-        return 10.0 * np.log10(papr_mimo(frame))
+        return 10.0 * np.log10(papr_mimo(self.drawn_filtered(frame_index)))
 
     def psd_frame(self, frame_index: int) -> tuple[np.ndarray, np.ndarray]:
         """PSD bins of the amplified frame and of its linear reference."""
-        cfg = self.cfg
-        rng = frame_rng(cfg.run.seed, frame_index, 0)
-        grid = OfdmGrid.random(rng, cfg.system.n_tx, cfg.system.n_subcarriers,
-                               cfg.system.mod_order)
-        if cfg.method.name == "cae":
-            with no_grad():
-                stages = self.system.transmit(grid.symbols[None], train=False)
-            filtered = TimeFrame(stages["filtered"].values()[0],
-                                 cfg.system.oversample, Stage.FILTERED)
-        else:
-            filtered, _ = self.filtered_frame(grid)
-        backed, amplified, _ = self.amplified(filtered)
+        backed, amplified, _ = self.amplified(self.drawn_filtered(frame_index))
         reference = backed.with_samples(backed.samples, stage=Stage.AMPLIFIED)
         return (estimate_psd(amplified).bin_power,
                 estimate_psd(reference).bin_power)
 
     def spectral_frame(self, frame_index: int) -> tuple[np.ndarray, float]:
         """PSD bins of the amplified frame plus the backed-off antenna power sum."""
-        cfg = self.cfg
-        rng = frame_rng(cfg.run.seed, frame_index, 0)
-        grid = OfdmGrid.random(rng, cfg.system.n_tx, cfg.system.n_subcarriers,
-                               cfg.system.mod_order)
-        if cfg.method.name == "cae":
-            with no_grad():
-                stages = self.system.transmit(grid.symbols[None], train=False)
-            filtered = TimeFrame(stages["filtered"].values()[0],
-                                 cfg.system.oversample, Stage.FILTERED)
-        else:
-            filtered, _ = self.filtered_frame(grid)
-        backed, amplified, _ = self.amplified(filtered)
+        backed, amplified, _ = self.amplified(self.drawn_filtered(frame_index))
         per_antenna_total = float(np.sum(np.mean(np.abs(backed.samples) ** 2, axis=1)))
         return estimate_psd(amplified).bin_power, per_antenna_total
 
@@ -335,7 +311,6 @@ def run_acpr_obo(cfg_list: list[ExperimentConfig], out=None) -> str:
         results = _map_frames(chain.spectral_frame, cfg.run.frames, cfg.run.workers)
         psd_bins = np.mean([r[0] for r in results], axis=0)
         mean_backed_total = float(np.mean([r[1] for r in results]))
-        from .dsp import PsdEstimate
         estimate = PsdEstimate(psd_bins, 1.0 / psd_bins.size)
         acpr_db = acpr(estimate, cfg.system.oversample)
         obo_db = float(10.0 * np.log10(cfg.rf.total_power / mean_backed_total))

@@ -1,7 +1,7 @@
 """Transmit RF front-end: band-pass filter, input back-off, RAPP amplifier.
 
-Also provides the Bussgang linearization factor and the spectral metrics
-ACPR and OBO computed from PSD estimates.
+Also provides the Bussgang linearization gain and the spectral metrics
+ACPR (from a PSD estimate) and OBO.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import PsdEstimate, Stage, TimeFrame, estimate_psd, inband_start
+from .dsp import PsdEstimate, Stage, TimeFrame, inband_start
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,6 @@ class RappParams:
         """Output amplitude for a given input amplitude (array-safe)."""
         a = np.asarray(amplitude, dtype=float)
         return self.v * a * (1.0 + (self.v * a / self.a0) ** (2 * self.p)) ** (-1.0 / (2 * self.p))
-
-
-@dataclass(frozen=True)
-class BussgangFactor:
-    """Least-squares linear gain between a nonlinearity's input and output."""
-
-    alpha: complex
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    acpr_db: float
-    obo_db: float
-    psd: PsdEstimate
 
 
 def bandpass_filter(frame: TimeFrame) -> TimeFrame:
@@ -90,8 +76,8 @@ def rapp_amplify(frame: TimeFrame, params: RappParams) -> TimeFrame:
     return frame.with_samples(frame.samples * gain, stage=Stage.AMPLIFIED)
 
 
-def bussgang_alpha(filtered: TimeFrame, amplified: TimeFrame) -> BussgangFactor:
-    """Least-squares gain alpha minimizing E|x_out - alpha * x_in|^2.
+def bussgang_alpha(filtered: TimeFrame, amplified: TimeFrame) -> complex:
+    """Least-squares complex gain alpha minimizing E|x_out - alpha * x_in|^2.
 
     Expectations are sample means over all antennas and samples. The residual
     x_out - alpha * x_in is uncorrelated with the input by construction.
@@ -104,7 +90,7 @@ def bussgang_alpha(filtered: TimeFrame, amplified: TimeFrame) -> BussgangFactor:
     if denom == 0.0:
         raise ValueError("filtered input has zero power")
     alpha = np.mean(x_out * np.conj(x_in)) / denom
-    return BussgangFactor(complex(alpha))
+    return complex(alpha)
 
 
 def acpr(psd: PsdEstimate, L: int) -> float:
@@ -135,14 +121,3 @@ def obo(backed_off: TimeFrame, total_power: float) -> float:
     if total == 0.0:
         raise ValueError("zero-power frame")
     return float(10.0 * np.log10(total_power / total))
-
-
-def spectral_report(backed_off: TimeFrame, amplified: TimeFrame,
-                    total_power: float = 1.0) -> SpectralReport:
-    """ACPR of the amplified frame plus OBO of the backed-off frame."""
-    psd = estimate_psd(amplified)
-    return SpectralReport(
-        acpr_db=acpr(psd, amplified.L),
-        obo_db=obo(backed_off, total_power),
-        psd=psd,
-    )

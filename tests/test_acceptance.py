@@ -109,7 +109,7 @@ class TestCriterion4BussgangOracle:
         params = ol.RappParams.from_power_budget(1.0, 2)
         for ibo_db in (3.0, 6.0, 9.0):
             amplified = ol.rapp_amplify(ol.apply_ibo(filtered, ibo_db, params), params)
-            alpha = ol.bussgang_alpha(filtered, amplified).alpha
+            alpha = ol.bussgang_alpha(filtered, amplified)
 
             def distortion(a):
                 return np.mean(np.abs(amplified.samples - a * filtered.samples) ** 2)

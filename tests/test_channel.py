@@ -1,11 +1,10 @@
-"""Channel generation, noise calibration, and real-valued repacking."""
+"""Channel generation and noise calibration."""
 
 import numpy as np
 import pytest
 
-from ofdmlab import (Awgn, MultipathTaps, apply_channel, complexify,
-                     draw_channel, matched_features, noise_variance_for_psnr,
-                     realify, realify_matrix)
+from ofdmlab import (Awgn, MultipathTaps, apply_channel, draw_channel,
+                     noise_variance_for_psnr)
 
 
 class TestDrawChannel:
@@ -83,69 +82,3 @@ class TestApplyChannel:
         chan = draw_channel(rng, 100_000, 1, 1, MultipathTaps(1), sigma_w2=sigma)
         y = apply_channel(np.zeros((100_000, 1), dtype=complex), chan, rng)
         assert abs(np.mean(np.abs(y) ** 2) / sigma - 1.0) < 0.02
-
-
-class TestRealify:
-    def test_vector_layout(self):
-        out = realify(np.array([1.0 + 2.0j]))
-        assert np.array_equal(out, [1.0, 2.0])
-
-    def test_rotation_block(self):
-        out = realify_matrix(np.array([[1.0j]]))
-        assert np.array_equal(out, [[0.0, -1.0], [1.0, 0.0]])
-
-    def test_round_trip(self):
-        rng = np.random.default_rng(9)
-        z = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
-        assert np.abs(complexify(realify(z)) - z).max() == 0.0
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ValueError):
-            complexify(np.zeros(5))
-
-    def test_block_product_equivalence(self):
-        rng = np.random.default_rng(10)
-        for _ in range(5):
-            h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            lhs = realify_matrix(h) @ realify(x, axis=0)
-            rhs = realify(h @ x, axis=0)
-            assert np.abs(lhs - rhs).max() < 1e-12
-
-
-class TestMatchedFeatures:
-    def test_identity_channel_passthrough(self):
-        rng = np.random.default_rng(11)
-        from ofdmlab import ChannelRealization
-        h = np.broadcast_to(np.eye(2), (4, 2, 2)).astype(complex)
-        chan = ChannelRealization(h.copy(), 0.0, np.ones(1))
-        y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        x_hat = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        hy, hhx = matched_features(chan, y, x_hat)
-        assert np.abs(hy - y).max() < 1e-12
-        assert np.abs(hhx - x_hat).max() < 1e-12
-
-    def test_zero_estimate_zeroes_second_feature(self):
-        rng = np.random.default_rng(12)
-        chan = draw_channel(rng, 4, 2, 2, MultipathTaps(2))
-        y = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
-        _, hhx = matched_features(chan, y, np.zeros((4, 2), dtype=complex))
-        assert np.abs(hhx).max() == 0.0
-
-    def test_matches_explicit_arithmetic(self):
-        rng = np.random.default_rng(13)
-        chan = draw_channel(rng, 3, 2, 2, MultipathTaps(2))
-        y = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        x_hat = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        hy, hhx = matched_features(chan, y, x_hat)
-        for k in range(3):
-            h = chan.h[k]
-            assert np.abs(hy[k] - h.conj().T @ y[k]).max() < 1e-12
-            assert np.abs(hhx[k] - h.conj().T @ h @ x_hat[k]).max() < 1e-12
-
-    def test_shape_checks(self):
-        rng = np.random.default_rng(14)
-        chan = draw_channel(rng, 4, 2, 2, Awgn())
-        with pytest.raises(ValueError):
-            matched_features(chan, np.zeros((4, 3), dtype=complex),
-                             np.zeros((4, 2), dtype=complex))

@@ -115,6 +115,96 @@ class TestBadInputs:
         assert err == ["numeric error: channel matrix at subcarrier 0 is singular"]
 
 
+BAD_RECIPES = {   # [train] lines -> words of the message
+    "activation = relu": "activation",
+    "decoder_iterations = 0": "decoder_iterations",
+    "epochs = 0": "epochs",
+    "batches_per_epoch = 0": "batches_per_epoch",
+    "batch_size = 1": "batch_size",
+    "epochs = 3\ngradual_start_epoch = 9": "gradual_start_epoch",
+    "gradual_start_epoch = 0": "gradual_start_epoch",
+    "rho_2a = 0": "rho_2a",
+    "rho_2b = -1e-5": "rho_2b",
+    "rho_3 = nan": "rho_3",
+    "lambda_3 = -0.5": "lambda_3",
+    "lr = nan": "lr",
+    "weight_decay = inf": "weight_decay",
+    "train_snr_db = -inf": "train_snr_db",
+    "acpr_req_db = nan": "acpr_req_db",
+    "init_scale = inf": "init_scale",
+}
+
+
+class TestBadTrainingRecipe:
+    @pytest.mark.parametrize("lines", sorted(BAD_RECIPES))
+    def test_refused_as_config_error(self, lines, tmp_path, capsys):
+        out = tmp_path / "model.bin"
+        path = tmp_path / "train.cfg"
+        path.write_text(BASE + f"out = {out}\n[train]\n{lines}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert BAD_RECIPES[lines] in err[0]
+        assert not out.exists()
+
+
+def _small_checkpoint(path):
+    from ofdmlab.cae.pipeline import build_system
+    from ofdmlab.cae.training import TrainConfig, save_system
+    cfg = TrainConfig(n_tx=2, n_rx=2, n_subcarriers=24, oversample=4, mod_order=4,
+                      decoder_iterations=1)
+    save_system(path, build_system(2, 2, 24, 4, 4, ibo_db=6.0, iterations=1), cfg)
+
+
+def _truncated_header(path):
+    _small_checkpoint(path)
+    path.write_bytes(path.read_bytes()[:6])
+
+
+def _truncated_data(path):
+    _small_checkpoint(path)
+    path.write_bytes(path.read_bytes()[:5000])
+
+
+def _foreign(path):
+    path.write_text("not a checkpoint\n")
+
+
+def _missing_entry(path):
+    from ofdmlab.autodiff.checkpoint import load_tensors, save_tensors
+    _small_checkpoint(path)
+    tensors = load_tensors(path)
+    del tensors["dec/it00/fc/w"]
+    save_tensors(path, tensors)
+
+
+class TestBadCheckpoint:
+    @pytest.mark.parametrize("make", [None, _truncated_header, _truncated_data, _foreign,
+                                      _missing_entry],
+                             ids=["missing", "truncated_header", "truncated_data", "foreign",
+                                  "missing_entry"])
+    def test_refused_as_config_error(self, make, tmp_path, capsys):
+        checkpoint = tmp_path / "cae.bin"
+        if make is not None:
+            make(checkpoint)
+        path = tmp_path / "cae.cfg"
+        path.write_text(BASE + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
+                               "[detector]\nname = cae\n")
+        assert main(["ber", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert str(checkpoint) in err[0]
+
+    def test_intact_checkpoint_runs(self, tmp_path):
+        checkpoint = tmp_path / "cae.bin"
+        _small_checkpoint(checkpoint)
+        path = tmp_path / "cae.cfg"
+        path.write_text(BASE + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
+                               "[detector]\nname = cae\n")
+        assert main(["ber", "--config", str(path), "--frames", "2",
+                     "--out", str(tmp_path / "ber.csv")]) == 0
+
+
 class TestDeterminism:
     def test_ber_rerun_byte_identical(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -1,12 +1,11 @@
-"""Transforms, PAPR metrics, and PSD estimation."""
+"""Transforms, PAPR metrics, and the periodogram."""
 
 import numpy as np
 import pytest
 
-from ofdmlab import (OfdmGrid, PsdConfig, Stage, TimeFrame, dft_unpad,
-                     estimate_psd, idft_oversampled, normalize_power, papr,
-                     papr_mimo, qam_alphabet)
-from ofdmlab.dsp import inband_start, subcarrier_frequencies
+from ofdmlab import (OfdmGrid, Stage, TimeFrame, dft_unpad, estimate_psd,
+                     idft_oversampled, papr, papr_mimo, qam_alphabet, synthesize)
+from ofdmlab.dsp import inband_start
 
 
 def random_grid(rng, n_ant=2, k=72, order=4):
@@ -33,7 +32,7 @@ class TestIdft:
         grid = random_grid(rng, n_ant=2, k=k)
         frame = idft_oversampled(grid, oversample)
         n = oversample * k
-        freqs = subcarrier_frequencies(n, k)
+        freqs = np.arange(k) + inband_start(n, k) - n // 2
         direct = np.zeros((2, n), dtype=complex)
         for ant in range(2):
             for nn in range(n):
@@ -57,6 +56,27 @@ class TestIdft:
             idft_oversampled(np.ones((1, 4), dtype=complex), 0)
         with pytest.raises(ValueError):
             idft_oversampled(np.zeros((0, 4), dtype=complex), 2)
+
+
+class TestSynthesize:
+    # (B, A, K, L, order): the stacked call must equal frame-by-frame synthesis
+    @pytest.mark.parametrize("n_batch, n_ant, k, oversample, order", [
+        (1, 1, 4, 1, 4), (3, 2, 16, 4, 4), (5, 2, 72, 4, 4), (4, 4, 72, 4, 16),
+        (2, 3, 9, 2, 16), (64, 2, 72, 4, 4),
+    ])
+    def test_stack_equals_per_frame(self, n_batch, n_ant, k, oversample, order):
+        rng = np.random.default_rng(n_batch * 1000 + k)
+        grids = np.stack([random_grid(rng, n_ant, k, order).symbols for _ in range(n_batch)])
+        stacked = synthesize(grids, oversample)
+        assert stacked.shape == (n_batch, n_ant, oversample * k)
+        for b in range(n_batch):
+            assert np.array_equal(stacked[b], idft_oversampled(grids[b], oversample).samples)
+
+    def test_leading_axes_are_independent(self):
+        rng = np.random.default_rng(20)
+        grids = np.stack([random_grid(rng, 2, 16).symbols for _ in range(6)]).reshape(2, 3, 2, 16)
+        stacked = synthesize(grids, 4)
+        assert np.array_equal(stacked.reshape(6, 2, 64), synthesize(grids.reshape(6, 2, 16), 4))
 
 
 class TestRoundTrip:
@@ -147,30 +167,6 @@ class TestPaprMimo:
         assert papr_mimo(frame) == max(papr(samples[0]), papr(samples[1]))
 
 
-class TestNormalizePower:
-    def test_halves_a_power_four_frame(self):
-        frame = TimeFrame(np.full((1, 8), 2.0 + 0j), L=1)
-        out = normalize_power(frame)
-        assert np.allclose(out.samples, 1.0)
-
-    def test_unit_power_frame_unchanged(self):
-        rng = np.random.default_rng(16)
-        samples = rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))
-        samples /= np.sqrt(np.mean(np.abs(samples) ** 2))
-        frame = TimeFrame(samples, L=1)
-        assert np.abs(normalize_power(frame).samples - samples).max() < 1e-12
-
-    def test_papr_invariant(self):
-        rng = np.random.default_rng(17)
-        samples = 3.7 * (rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64)))
-        frame = TimeFrame(samples, L=1)
-        assert abs(papr_mimo(normalize_power(frame)) - papr_mimo(frame)) < 1e-12
-
-    def test_zero_frame_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_power(TimeFrame(np.zeros((1, 4), dtype=complex), L=1))
-
-
 class TestPsd:
     def test_single_exponential_concentrates(self):
         n = 64
@@ -181,11 +177,12 @@ class TestPsd:
         assert psd.bin_power[bin_index] / psd.total_power() > 0.999
 
     def test_white_noise_flat(self):
+        # 1000 segments of 64 samples, one row each: the rows' periodograms average
         rng = np.random.default_rng(18)
         seg, n_seg = 64, 1000
-        x = (rng.standard_normal((1, seg * n_seg))
-             + 1j * rng.standard_normal((1, seg * n_seg))) / np.sqrt(2)
-        psd = estimate_psd(TimeFrame(x, L=1), PsdConfig(segment_len=seg))
+        x = (rng.standard_normal((n_seg, seg))
+             + 1j * rng.standard_normal((n_seg, seg))) / np.sqrt(2)
+        psd = estimate_psd(TimeFrame(x, L=1))
         expected = psd.total_power() / seg
         assert np.abs(psd.bin_power / expected - 1.0).max() < 0.15
 
@@ -195,11 +192,6 @@ class TestPsd:
         frame = TimeFrame(samples, L=4)
         psd = estimate_psd(frame)
         assert abs(psd.total_power() - frame.mean_power()) < 1e-9 * frame.mean_power()
-
-    def test_segment_longer_than_frame_rejected(self):
-        frame = TimeFrame(np.ones((1, 32), dtype=complex), L=1)
-        with pytest.raises(ValueError):
-            estimate_psd(frame, PsdConfig(segment_len=64))
 
 
 class TestFrameValidation:

@@ -1,6 +1,7 @@
-"""Property tests: BER output does not depend on how the frames are split."""
+"""Property tests: BER output does not depend on how the frames are split,
+and any [train] text either builds a training config or is a ConfigError."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -10,7 +11,9 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ofdmlab import harness  # noqa: E402
 from ofdmlab.cae import training  # noqa: E402
 from ofdmlab.cae.pipeline import build_system  # noqa: E402
-from ofdmlab.config import parse_config  # noqa: E402
+from ofdmlab.cli import train_config  # noqa: E402
+from ofdmlab.config import TrainSection, parse_config  # noqa: E402
+from ofdmlab.errors import ConfigError  # noqa: E402
 
 SYSTEM = ("[system]\nn_tx = 2\nn_rx = 2\nn_subcarriers = 16\noversample = 4\nmod_order = 4\n"
           "[channel]\nprofile = multipath\ntaps = 4\n[rf]\nibo_db = 9.0\n"
@@ -47,3 +50,28 @@ def test_ber_csv_independent_of_block_and_workers(configs, detector, seed, frame
         patch.setattr(harness, "CAE_BLOCK_FRAMES", block)
         text, _ = harness.run_ber(replace(cfg, run=replace(cfg.run, workers=workers)))
     assert text == reference
+
+
+TRAIN_KEYS = [f.name for f in fields(TrainSection)]
+TRAIN_VALUES = st.one_of(
+    st.integers(-3, 300).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["selu", "gelu", "relu", "", "1e400", "0x10"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="#\n\r"),
+            max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(st.sampled_from(TRAIN_KEYS), TRAIN_VALUES), max_size=6))
+def test_train_text_builds_config_or_config_error(lines):
+    text = "[system]\nn_tx = 2\nn_rx = 2\n[train]\n" + "".join(
+        f"{key} = {value}\n" for key, value in lines)
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    built = train_config(cfg)
+    assert isinstance(built, training.TrainConfig)
+    for name in TRAIN_KEYS:
+        assert repr(getattr(built, name)) == repr(getattr(cfg.train, name))

@@ -1,11 +1,17 @@
 """Training-loop behavior at toy scale: staging, logging, determinism."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from ofdmlab.cae import TrainConfig, train
-from ofdmlab.cae.training import LOG_HEADER, counter_rng, make_batch
+from ofdmlab import modulation
+from ofdmlab.autodiff import no_grad
+from ofdmlab.cae import TrainConfig, pipeline, train, training
+from ofdmlab.cae.training import _EVAL_STREAM, LOG_HEADER, counter_rng, make_batch
+from ofdmlab.channel import noise_variance_for_psnr
 from ofdmlab.errors import NumericError
+from ofdmlab.modulation import symbols_to_bits
 
 
 def toy_config(**kwargs):
@@ -22,14 +28,14 @@ class TestStaging:
         cfg = toy_config(gradual_start_epoch=4)   # epochs + 1
         result = train(cfg)
         assert result.state.epoch == 0
-        assert result.state.lambda_2a == cfg.lambda_2a_init
-        assert result.state.lambda_3 == cfg.lambda_3_init
+        assert result.state.lambda_2a == cfg.lambda_2a
+        assert result.state.lambda_3 == cfg.lambda_3
 
     def test_constraint_phase_updates_multipliers(self):
         cfg = toy_config(gradual_start_epoch=2)
         result = train(cfg)
         assert result.state.epoch == 2            # epochs 2 and 3
-        assert result.state.lambda_2a > cfg.lambda_2a_init
+        assert result.state.lambda_2a > cfg.lambda_2a
 
     def test_gradual_start_bounds_checked(self):
         with pytest.raises(ValueError):
@@ -91,3 +97,57 @@ class TestDataPlumbing:
         assert h.shape == (4, 8, 2, 2)
         assert noise.shape == (4, 8, 2)
         assert abs(np.mean(np.abs(noise) ** 2) / 1e-3 - 1.0) < 0.5
+
+
+def evaluate_ber_oracle(system, cfg: TrainConfig, p_snr_db: float,
+                        n_frames: int, seed: int, batch: int = 32) -> tuple[float, int]:
+    """The earlier evaluate_ber, verbatim: a full run_batch, losses included."""
+    sigma_w2 = noise_variance_for_psnr(p_snr_db, cfg.total_power)
+    errors = 0
+    total = 0
+    done = 0
+    index = 0
+    while done < n_frames:
+        n = min(batch, n_frames - done)
+        rng = counter_rng(seed, index, _EVAL_STREAM)
+        grids, h, noise = make_batch(rng, cfg, sigma_w2, n_examples=n)
+        with no_grad():
+            result = system.run_batch(grids, h, noise, rng, train=False)
+        hard = result.hard_symbols(cfg.mod_order)
+        sent = symbols_to_bits(grids, cfg.mod_order)
+        got = symbols_to_bits(hard, cfg.mod_order)
+        errors += int(np.sum(sent != got))
+        total += sent.size
+        done += n
+        index += 1
+    return errors / total, total
+
+
+class TestEvaluateBer:
+    @pytest.mark.parametrize("p_snr_db", [4.0, 30.0])
+    def test_matches_run_batch_oracle(self, p_snr_db, monkeypatch):
+        cfg = toy_config(channel_taps=3)
+        system = train(cfg).system
+        recorded = {"new": [], "old": []}
+
+        def recorder(key):
+            def record(symbols, order):
+                bits = modulation.symbols_to_bits(symbols, order)
+                recorded[key].append(bits)
+                return bits
+            return record
+
+        def no_losses(*args, **kwargs):
+            raise AssertionError("evaluate_ber computed a training loss")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "symbols_to_bits", recorder("new"))
+            for name in ("loss_reconstruction", "loss_papr", "loss_acpr"):
+                patch.setattr(pipeline, name, no_losses)
+            new = training.evaluate_ber(system, cfg, p_snr_db, 70, seed=4)
+        monkeypatch.setattr(sys.modules[__name__], "symbols_to_bits", recorder("old"))
+        old = evaluate_ber_oracle(system, cfg, p_snr_db, 70, seed=4)
+        assert new == old
+        assert len(recorded["new"]) == len(recorded["old"]) == 6   # sent + got per batch
+        for a, b in zip(recorded["new"], recorded["old"]):
+            assert np.array_equal(a, b)
