@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erf
 
 from .tensor import DiffTensor, _accumulate, _node, as_tensor
 
@@ -242,6 +241,10 @@ def selu(x) -> DiffTensor:
 
 def gelu(x) -> DiffTensor:
     """Gaussian error linear unit, exact form x * Phi(x)."""
+    # imported here: scipy.special is most of the package's import time,
+    # and only this non-default activation needs it
+    from scipy.special import erf
+
     x = as_tensor(x)
     cdf = 0.5 * (1.0 + erf(x.values / np.sqrt(2.0)))
     pdf = np.exp(-0.5 * x.values ** 2) / np.sqrt(2.0 * np.pi)

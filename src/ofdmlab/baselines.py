@@ -71,9 +71,9 @@ class SlmCodebook:
 
 
 def clip_only(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
-    """Hard-limit the envelope at rms * 10^(ratio/20); phase preserved."""
-    power = frame.mean_power()
-    if power == 0.0:
+    """Hard-limit the envelope at rms * 10^(ratio/20), per frame; phase preserved."""
+    power = frame.frame_power()
+    if np.any(power == 0.0):
         raise ValueError("cannot clip an all-zero frame")
     limit = np.sqrt(power) * 10.0 ** (cfg.clip_ratio_db / 20.0)
     magnitude = np.abs(frame.samples)
@@ -105,7 +105,8 @@ def slm_encode(grid: OfdmGrid, book: SlmCodebook, oversample: int) -> tuple[Time
     per_antenna = power.max(axis=2) / power.mean(axis=2)
     worst = per_antenna.max(axis=1)
     winner = int(np.argmin(worst))
-    return TimeFrame(rows[winner], L=oversample, stage=Stage.RAW), winner
+    # a copy, so that a caller holding the frame does not hold every candidate
+    return TimeFrame(rows[winner].copy(), L=oversample, stage=Stage.RAW), winner
 
 
 def check_mle_size(order: int, n_tx: int) -> None:

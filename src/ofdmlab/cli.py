@@ -45,8 +45,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
-    return with_overrides(cfg, seed=args.seed, frames=args.frames,
-                          out=args.out, workers=args.workers)
+    cfg = with_overrides(cfg, seed=args.seed, frames=args.frames,
+                         out=args.out, workers=args.workers)
+    _check_out(cfg.run.out)
+    return cfg
+
+
+def _check_out(out) -> None:
+    """ConfigError unless ``out`` can be a file in an existing directory.
+
+    Checked before the first frame, so that a bad path does not cost a run.
+    """
+    if out is None:
+        return
+    path = Path(out)
+    if not path.parent.is_dir():
+        raise ConfigError(f"output directory does not exist: {path.parent}")
+    if path.is_dir():
+        raise ConfigError(f"output path is a directory: {path}")
 
 
 def train_config(cfg: ExperimentConfig):
@@ -128,6 +144,7 @@ def _cmd_acpr_obo(args) -> int:
         cfg = with_overrides(cfg, seed=args.seed, frames=args.frames,
                              workers=args.workers)
         cfgs.append(cfg)
+    _check_out(args.out)
     text = run_acpr_obo(cfgs, out=args.out)
     if args.out is None:
         sys.stdout.write(text)

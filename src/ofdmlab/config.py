@@ -156,6 +156,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if (self.detector == "cae") != (self.method.name == "cae"):
             raise ConfigError("the cae detector pairs exactly with the cae method")
+        if not 0 <= self.run.seed < 2 ** 128:
+            raise ConfigError("seed must be in [0, 2**128)")
         if self.run.frames < 1:
             raise ConfigError("frames must be >= 1")
         if not all(math.isfinite(p) for p in self.run.p_snr_db):
@@ -249,6 +251,8 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config path is not a regular file: {path}")
     return parse_config(path.read_text())
 
 

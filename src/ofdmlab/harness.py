@@ -1,8 +1,11 @@
 """Seeded Monte Carlo experiments emitting deterministic CSV.
 
 Every frame gets its own counter-based generator derived from the master
-seed, so results are identical for any worker count and rerun. Workers are
-threads; numpy releases the GIL in the heavy kernels.
+seed. Every path runs in blocks of ``BLOCK_FRAMES`` consecutive frames: the
+draws stay per frame, the arithmetic runs on the block's stacked arrays and
+gives the same values as one frame at a time, so results are identical for
+any block size, worker count and rerun. Workers are threads that take whole
+blocks; numpy releases the GIL in the heavy kernels.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ BER_HEADER = ["p_snr_db", "ber", "bit_count", "stderr"]
 CCDF_HEADER = ["papr0_db", "ccdf"]
 PSD_HEADER = ["normalized_freq", "psd_db", "linear_ref_db"]
 ACPR_OBO_HEADER = ["method", "acpr_db", "obo_db"]
-CAE_BLOCK_FRAMES = 32        # frames per CAE inference pass in run_ber
+BLOCK_FRAMES = 32            # frames per numpy pass, about 300 KB per stage array at 2x288
 
 
 @dataclass(frozen=True)
@@ -71,7 +74,12 @@ def _rapp_params(cfg: ExperimentConfig) -> RappParams:
 
 
 class _FrameChain:
-    """Per-run state shared by all frames: codebook, amplifier, detector, checkpoint."""
+    """Per-run state shared by all frames: codebook, amplifier, detector, checkpoint.
+
+    Its methods take a block of consecutive frame indices. Each frame draws
+    from its own stream; the arithmetic runs on the block's [F, A, N] stack,
+    which gives the same values as one frame at a time.
+    """
 
     def __init__(self, cfg: ExperimentConfig):
         cfg.validated()
@@ -102,61 +110,85 @@ class _FrameChain:
 
     # -- transmit side -------------------------------------------------------
 
-    def filtered_frame(self, grid: OfdmGrid) -> tuple[TimeFrame, np.ndarray | None]:
-        """Method-specific band-limited frame plus SLM phases if any."""
+    def filtered_block(self, grids: list[OfdmGrid]) -> tuple[TimeFrame, np.ndarray | None]:
+        """Method-specific band-limited [F, A, N] block plus SLM phases [F, K] if any.
+
+        SLM picks each frame's candidate on its own (a stacked candidate
+        search falls out of cache), and the CAE encodes one frame per pass
+        (its matrix products round differently at other batch sizes).
+        """
         cfg = self.cfg
         oversample = cfg.system.oversample
         if cfg.method.name == "cae":
             with no_grad():
-                stages = self.system.transmit(grid.symbols[None], train=False)
-            return TimeFrame(stages["filtered"].values()[0], oversample, Stage.FILTERED), None
+                rows = [self.system.transmit(g.symbols[None], train=False)["filtered"].values()[0]
+                        for g in grids]
+            return TimeFrame(np.stack(rows), oversample, Stage.FILTERED), None
         if cfg.method.name == "slm":
-            frame, index = baselines.slm_encode(grid, self.book, oversample)
-            return bandpass_filter(frame), self.book.phases[index]
-        raw = idft_oversampled(grid, oversample)
+            encoded = [baselines.slm_encode(g, self.book, oversample) for g in grids]
+            raw = TimeFrame(np.stack([frame.samples for frame, _ in encoded]), oversample)
+            return bandpass_filter(raw), self.book.phases[[index for _, index in encoded]]
+        raw = idft_oversampled(np.stack([g.symbols for g in grids]), oversample)
         if cfg.method.name == "cf":
             clip = baselines.ClipConfig(cfg.method.clip_ratio_db)
             return baselines.clip_and_filter(raw, clip), None
         return bandpass_filter(raw), None
 
-    def drawn_filtered(self, frame_index: int) -> TimeFrame:
-        """The band-limited frame of a transmit-only run's frame ``frame_index``."""
+    def drawn_block(self, frames: range) -> TimeFrame:
+        """The band-limited [F, A, N] block of a transmit-only run's ``frames``."""
         s = self.cfg.system
-        rng = frame_rng(self.cfg.run.seed, frame_index, 0)
-        grid = OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
-        return self.filtered_frame(grid)[0]
+        grids = [OfdmGrid.random(frame_rng(self.cfg.run.seed, i, 0),
+                                 s.n_tx, s.n_subcarriers, s.mod_order) for i in frames]
+        return self.filtered_block(grids)[0]
 
-    def amplified(self, filtered: TimeFrame) -> tuple[TimeFrame, TimeFrame, complex]:
-        """IBO + amplifier; returns (backed_off, amplified, bussgang gain).
+    def amplified(self, filtered: TimeFrame) -> tuple[TimeFrame, TimeFrame]:
+        """IBO + amplifier; returns (backed_off, amplified).
 
-        A linear front end bypasses both back-off and saturation: the frame
-        is transmitted as filtered, at full power, with unit gain.
+        A linear front end bypasses both back-off and saturation: the frames
+        are transmitted as filtered, at full power.
         """
         if self.cfg.rf.amplifier == "linear":
-            backed = filtered.with_samples(filtered.samples, stage=Stage.BACKED_OFF)
-            amplified = filtered.with_samples(filtered.samples, stage=Stage.AMPLIFIED)
-            return backed, amplified, 1.0 + 0.0j
+            return filtered, filtered
         backed = apply_ibo(filtered, self.cfg.rf.ibo_db, self.params)
-        amplified = rapp_amplify(backed, self.params)
-        alpha = bussgang_alpha(filtered, amplified)
-        return backed, amplified, alpha
+        return backed, rapp_amplify(backed, self.params)
+
+    def _gain(self, filtered: TimeFrame, amplified: TimeFrame, f: int) -> complex:
+        """Bussgang gain of frame ``f`` of a block; unity for a linear front end.
+
+        Computed per frame: the stacked product rounds differently.
+        """
+        if self.cfg.rf.amplifier == "linear":
+            return 1.0 + 0.0j
+        oversample = self.cfg.system.oversample
+        return bussgang_alpha(TimeFrame(filtered.samples[f], oversample),
+                              TimeFrame(amplified.samples[f], oversample))
 
     # -- one full link -------------------------------------------------------
 
-    def ber_frame(self, frame_index: int, point_index: int, sigma_w2: float) -> tuple[int, int]:
-        """Simulate one frame at one SNR point; returns (bit errors, bits)."""
+    def ber_block(self, frames: range, point_index: int, sigma_w2: float) -> tuple[int, int]:
+        """Simulate a block of frames at one SNR point; returns (bit errors, bits).
+
+        Each frame draws its grid and channel from its own stream, the block
+        is transmitted in one pass, and then each frame draws its noise and
+        is detected on its own.
+        """
         cfg = self.cfg
-        rng = frame_rng(cfg.run.seed, frame_index, point_index)
-        grid, chan = self._link_draw(rng, sigma_w2)
-        filtered, phases = self.filtered_frame(grid)
-        _, amplified, alpha = self.amplified(filtered)
-        x_freq = dft_unpad(amplified, cfg.system.n_subcarriers).T   # [K, n_tx]
-        y = apply_channel(x_freq, chan, rng)
-        y = y / alpha
-        detected = self.detect(chan, y, cfg.system.mod_order)
-        if phases is not None:
-            detected = detected * np.conj(phases)[None, :]
-        return _bit_errors(grid.symbols, detected, cfg.system.mod_order)
+        k, order = cfg.system.n_subcarriers, cfg.system.mod_order
+        rngs = [frame_rng(cfg.run.seed, i, point_index) for i in frames]
+        draws = [self._link_draw(rng, sigma_w2) for rng in rngs]
+        grids = [grid for grid, _ in draws]
+        filtered, phases = self.filtered_block(grids)
+        _, amplified = self.amplified(filtered)
+        x_freq = dft_unpad(amplified, k)                             # [F, n_tx, K]
+        detected = []
+        for f, (rng, (_, chan)) in enumerate(zip(rngs, draws)):
+            y = apply_channel(x_freq[f].T, chan, rng)
+            y = y / self._gain(filtered, amplified, f)
+            got = self.detect(chan, y, order)
+            if phases is not None:
+                got = got * np.conj(phases[f])[None, :]
+            detected.append(got)
+        return _bit_errors(np.stack([g.symbols for g in grids]), np.stack(detected), order)
 
     def cae_ber_block(self, frames: range, point_index: int,
                       sigma_w2: float) -> tuple[int, int]:
@@ -194,21 +226,19 @@ class _FrameChain:
         chan = draw_channel(rng, s.n_subcarriers, s.n_tx, s.n_rx, self.profile, sigma_w2)
         return grid, chan
 
-    def ccdf_frame(self, frame_index: int) -> float:
-        """Worst-antenna PAPR (dB) of the band-limited frame."""
-        return 10.0 * np.log10(papr_mimo(self.drawn_filtered(frame_index)))
+    def ccdf_block(self, frames: range) -> np.ndarray:
+        """Worst-antenna PAPR (dB) of each band-limited frame, [F]."""
+        return 10.0 * np.log10(papr_mimo(self.drawn_block(frames)))
 
-    def psd_frame(self, frame_index: int) -> tuple[np.ndarray, np.ndarray]:
-        """PSD bins of the amplified frame and of its linear reference."""
-        backed, amplified, _ = self.amplified(self.drawn_filtered(frame_index))
-        reference = backed.with_samples(backed.samples, stage=Stage.AMPLIFIED)
-        return (estimate_psd(amplified).bin_power,
-                estimate_psd(reference).bin_power)
+    def psd_block(self, frames: range) -> tuple[np.ndarray, np.ndarray]:
+        """PSD bins [F, N] of each amplified frame and of its linear reference."""
+        backed, amplified = self.amplified(self.drawn_block(frames))
+        return estimate_psd(amplified).bin_power, estimate_psd(backed).bin_power
 
-    def spectral_frame(self, frame_index: int) -> tuple[np.ndarray, float]:
-        """PSD bins of the amplified frame plus the backed-off antenna power sum."""
-        backed, amplified, _ = self.amplified(self.drawn_filtered(frame_index))
-        per_antenna_total = float(np.sum(np.mean(np.abs(backed.samples) ** 2, axis=1)))
+    def spectral_block(self, frames: range) -> tuple[np.ndarray, np.ndarray]:
+        """PSD bins [F, N] of each amplified frame plus its backed-off antenna power sum [F]."""
+        backed, amplified = self.amplified(self.drawn_block(frames))
+        per_antenna_total = np.sum(np.mean(np.abs(backed.samples) ** 2, axis=-1), axis=-1)
         return estimate_psd(amplified).bin_power, per_antenna_total
 
 
@@ -219,12 +249,18 @@ def _bit_errors(sent: np.ndarray, detected: np.ndarray, order: int) -> tuple[int
     return int(np.sum(sent_bits != got_bits)), sent_bits.size
 
 
-def _map_frames(task, n_frames: int, workers: int) -> list:
-    """Order-preserving map over frame (or block) indices, optionally threaded."""
+def _map_blocks(task, n_frames: int, workers: int) -> list:
+    """Order-preserving map of ``task`` over consecutive blocks of frame indices.
+
+    Blocks hold ``BLOCK_FRAMES`` frames (the last one the rest) and go to a
+    thread pool when ``workers`` > 1.
+    """
+    size = BLOCK_FRAMES
+    blocks = [range(start, min(start + size, n_frames)) for start in range(0, n_frames, size)]
     if workers <= 1:
-        return [task(i) for i in range(n_frames)]
+        return [task(block) for block in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(n_frames)))
+        return list(pool.map(task, blocks))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -233,28 +269,22 @@ def _map_frames(task, n_frames: int, workers: int) -> list:
 def run_ber(cfg: ExperimentConfig) -> tuple[str, list[CurveRecord]]:
     """BER over the peak-SNR grid; returns (csv text, records).
 
-    The CAE runs ``CAE_BLOCK_FRAMES`` frames per inference pass; the
-    classical detectors run frame by frame. Either way each frame draws
-    from its own stream, so the CSV does not depend on the block size or
-    the worker count.
+    Frames run ``BLOCK_FRAMES`` at a time: the CAE through one transmit and
+    one receive pass, the classical methods through one transmit pass
+    followed by per-frame channels and detectors. Either way each frame
+    draws from its own stream, so the CSV does not depend on the block size
+    or the worker count.
     """
     if not cfg.run.p_snr_db:
         raise ConfigError("p_snr_db grid is empty")
     chain = _FrameChain(cfg)
-    frames = cfg.run.frames
     records = []
+    block_ber = chain.cae_ber_block if cfg.method.name == "cae" else chain.ber_block
     for point_index, p_snr_db in enumerate(cfg.run.p_snr_db):
         sigma_w2 = noise_variance_for_psnr(p_snr_db, cfg.rf.total_power)
-        if cfg.method.name == "cae":
-            size = CAE_BLOCK_FRAMES
-            results = _map_frames(
-                lambda b, p=point_index, s=sigma_w2: chain.cae_ber_block(
-                    range(b * size, min((b + 1) * size, frames)), p, s),
-                -(-frames // size), cfg.run.workers)
-        else:
-            results = _map_frames(
-                lambda i, p=point_index, s=sigma_w2: chain.ber_frame(i, p, s),
-                frames, cfg.run.workers)
+        results = _map_blocks(
+            lambda block, p=point_index, s=sigma_w2: block_ber(block, p, s),
+            cfg.run.frames, cfg.run.workers)
         errors = sum(r[0] for r in results)
         bits = sum(r[1] for r in results)
         ber = errors / bits
@@ -272,7 +302,7 @@ def run_ccdf(cfg: ExperimentConfig, thresholds_db=None) -> tuple[str, list[Curve
     if cfg.run.frames < 100:
         raise ConfigError("ccdf needs at least 100 frames")
     chain = _FrameChain(cfg)
-    paprs = np.array(_map_frames(chain.ccdf_frame, cfg.run.frames, cfg.run.workers))
+    paprs = np.concatenate(_map_blocks(chain.ccdf_block, cfg.run.frames, cfg.run.workers))
     records = []
     for t in thresholds:
         exceed = float(np.mean(paprs > t))
@@ -289,9 +319,9 @@ def run_psd(cfg: ExperimentConfig) -> str:
     emitted alongside.
     """
     chain = _FrameChain(cfg)
-    results = _map_frames(chain.psd_frame, cfg.run.frames, cfg.run.workers)
-    psd = np.mean([r[0] for r in results], axis=0)
-    ref = np.mean([r[1] for r in results], axis=0)
+    results = _map_blocks(chain.psd_block, cfg.run.frames, cfg.run.workers)
+    psd = np.mean(np.concatenate([r[0] for r in results]), axis=0)
+    ref = np.mean(np.concatenate([r[1] for r in results]), axis=0)
     n = psd.size
     freqs = (np.arange(n) - n // 2) / n
     floor = 1e-300
@@ -308,9 +338,9 @@ def run_acpr_obo(cfg_list: list[ExperimentConfig], out=None) -> str:
     rows = []
     for cfg in cfg_list:
         chain = _FrameChain(cfg)
-        results = _map_frames(chain.spectral_frame, cfg.run.frames, cfg.run.workers)
-        psd_bins = np.mean([r[0] for r in results], axis=0)
-        mean_backed_total = float(np.mean([r[1] for r in results]))
+        results = _map_blocks(chain.spectral_block, cfg.run.frames, cfg.run.workers)
+        psd_bins = np.mean(np.concatenate([r[0] for r in results]), axis=0)
+        mean_backed_total = float(np.mean(np.concatenate([r[1] for r in results])))
         estimate = PsdEstimate(psd_bins, 1.0 / psd_bins.size)
         acpr_db = acpr(estimate, cfg.system.oversample)
         obo_db = float(10.0 * np.log10(cfg.rf.total_power / mean_backed_total))

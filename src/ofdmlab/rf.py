@@ -1,7 +1,8 @@
 """Transmit RF front-end: band-pass filter, input back-off, RAPP amplifier.
 
 Also provides the Bussgang linearization gain and the spectral metrics
-ACPR (from a PSD estimate) and OBO.
+ACPR (from a PSD estimate) and OBO. The filter, back-off and amplifier take
+one frame or a stack of frames; the Bussgang gain, ACPR and OBO take one.
 """
 
 from __future__ import annotations
@@ -47,18 +48,18 @@ def bandpass_filter(frame: TimeFrame) -> TimeFrame:
         raise ValueError(f"cannot band-pass filter a frame at stage {frame.stage}")
     n = frame.n_samples
     k = frame.n_inband
-    spectrum = np.fft.fftshift(np.fft.fft(frame.samples, axis=1), axes=1)
+    spectrum = np.fft.fftshift(np.fft.fft(frame.samples, axis=-1), axes=-1)
     start = inband_start(n, k)
     mask = np.zeros(n)
     mask[start:start + k] = 1.0
-    filtered = np.fft.ifft(np.fft.ifftshift(spectrum * mask, axes=1), axis=1)
+    filtered = np.fft.ifft(np.fft.ifftshift(spectrum * mask, axes=-1), axis=-1)
     return frame.with_samples(filtered, stage=Stage.FILTERED)
 
 
 def apply_ibo(frame: TimeFrame, ibo_db: float, params: RappParams) -> TimeFrame:
-    """Scale a frame so its mean power sits ``ibo_db`` below a0^2."""
-    power = frame.mean_power()
-    if power == 0.0:
+    """Scale each frame so its mean power sits ``ibo_db`` below a0^2."""
+    power = frame.frame_power()
+    if np.any(power == 0.0):
         raise ValueError("cannot back off an all-zero frame")
     target = params.a0 ** 2 / 10.0 ** (ibo_db / 10.0)
     scale = np.sqrt(target / power)

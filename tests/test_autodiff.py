@@ -1,8 +1,15 @@
 """Engine-level checks: values against naive oracles, gradients against
 finite differences, optimizer arithmetic, checkpoint round trips."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import ofdmlab
 
 from ofdmlab.autodiff import (AdamW, BatchNorm, DiffTensor, conv2d, gelu,
                               linear, load_tensors, no_grad, parameter,
@@ -127,6 +134,16 @@ class TestActivations:
         assert abs(out[0]) < 1e-15
         assert abs(out[1] - 0.8413447460685429) < 1e-12
         assert abs(out[2] + 0.15865525393145707) < 1e-12
+
+    def test_import_leaves_scipy_unloaded(self):
+        # scipy.special is most of the import time and only GELU needs it
+        src = str(Path(ofdmlab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        code = "import sys, ofdmlab; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.strip() == "[]"
 
     @pytest.mark.parametrize("point", [0.5, -0.5])
     def test_gradients_at_half(self, point):

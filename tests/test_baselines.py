@@ -90,6 +90,13 @@ class TestSlm:
         reference = idft_oversampled(grid, 4)
         assert np.abs(frame.samples - reference.samples).max() < 1e-12
 
+    def test_winner_holds_only_its_own_samples(self):
+        # a view into the candidate stack would keep all 64 candidates alive
+        # for as long as a caller (a block of frames) holds the winner
+        grid = OfdmGrid.random(np.random.default_rng(5), 2, 72, 4)
+        frame, _ = slm_encode(grid, SlmCodebook.random(3, 64, 72), 4)
+        assert frame.samples.base is None
+
     def test_never_worse_than_identity(self):
         rng = np.random.default_rng(4)
         book = SlmCodebook.random(5, 16, 72)

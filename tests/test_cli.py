@@ -90,7 +90,7 @@ class TestBadInputs:
         def no_frames(*args):
             raise AssertionError("a frame ran")
 
-        monkeypatch.setattr(harness._FrameChain, "ber_frame", no_frames)
+        monkeypatch.setattr(harness._FrameChain, "ber_block", no_frames)
         path = tmp_path / "big.cfg"
         path.write_text(BASE.replace("n_tx = 2\nn_rx = 2", "n_tx = 6\nn_rx = 6")
                         .replace("mod_order = 4", "mod_order = 16"))
@@ -113,6 +113,52 @@ class TestBadInputs:
         assert main(["ber", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["numeric error: channel matrix at subcarrier 0 is singular"]
+
+
+def _refuse_frames(monkeypatch):
+    """Make any harness frame or training batch fail the test."""
+    import ofdmlab.cae.training as training
+    import ofdmlab.harness as harness
+
+    def no_frames(*args):
+        raise AssertionError("a frame ran")
+
+    for name in ("ber_block", "cae_ber_block", "ccdf_block", "psd_block", "spectral_block"):
+        monkeypatch.setattr(harness._FrameChain, name, no_frames)
+    monkeypatch.setattr(training, "make_batch", no_frames)
+
+
+class TestBoundaryFaults:
+    """Bad seeds, config paths and output paths: one line, exit 1, no frame run."""
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    def test_seed_out_of_range(self, cfg_file, seed, capsys, monkeypatch):
+        _refuse_frames(monkeypatch)
+        assert main(["ber", "--config", str(cfg_file), "--seed", seed]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: seed must be in [0, 2**128)"]
+
+    def test_largest_seed_runs(self, cfg_file, tmp_path):
+        out = tmp_path / "ccdf.csv"
+        assert main(["ccdf", "--config", str(cfg_file), "--frames", "100",
+                     "--seed", str(2 ** 128 - 1), "--out", str(out)]) == 0
+
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        assert main(["ccdf", "--config", str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ")
+        assert "not a regular file" in err[0]
+
+    @pytest.mark.parametrize("command", ["ber", "ccdf", "psd", "acpr-obo", "train"])
+    @pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
+    def test_bad_output_path_refused_before_any_frame(self, cfg_file, tmp_path, capsys,
+                                                      monkeypatch, command, where):
+        _refuse_frames(monkeypatch)
+        out = tmp_path / "nonexistent" / "x.csv" if where == "missing_dir" else tmp_path
+        assert main([command, "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: output ")
+        assert not (tmp_path / "nonexistent").exists()
 
 
 BAD_RECIPES = {   # [train] lines -> words of the message

@@ -239,11 +239,11 @@ def cae_oracle_text(cae_config):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("block", [1, 3, harness.CAE_BLOCK_FRAMES])
+@pytest.mark.parametrize("block", [1, 3, harness.BLOCK_FRAMES])
 def test_cae_ber_text_matches_per_frame_oracle(cae_config, cae_oracle_text, monkeypatch,
                                                block, workers):
-    assert cae_config.run.frames % harness.CAE_BLOCK_FRAMES != 0
-    monkeypatch.setattr(harness, "CAE_BLOCK_FRAMES", block)
+    assert cae_config.run.frames % harness.BLOCK_FRAMES != 0
+    monkeypatch.setattr(harness, "BLOCK_FRAMES", block)
     cfg = replace(cae_config, run=replace(cae_config.run, workers=workers))
     text, _ = run_ber(cfg)
     assert text == cae_oracle_text

@@ -248,7 +248,7 @@ class TestRunAcprObo:
         obo_db = float(text.strip().split("\n")[1].split(",")[2])
         from ofdmlab.harness import _FrameChain
         chain = _FrameChain(cfg)
-        totals = [chain.spectral_frame(i)[1] for i in range(8)]
+        totals = chain.spectral_block(range(8))[1]
         expected = 10 * np.log10(cfg.rf.total_power / np.mean(totals))
         assert abs(obo_db - expected) < 1e-12
 

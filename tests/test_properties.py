@@ -1,5 +1,6 @@
-"""Property tests: BER output does not depend on how the frames are split,
-and any [train] text either builds a training config or is a ConfigError."""
+"""Property tests: BER, CCDF, PSD and ACPR-OBO output does not depend on how
+the frames are split, and any [train] text either builds a training config
+or is a ConfigError."""
 
 from dataclasses import fields, replace
 
@@ -47,8 +48,36 @@ def test_ber_csv_independent_of_block_and_workers(configs, detector, seed, frame
     cfg = replace(cfg, run=replace(cfg.run, seed=seed, frames=frames))
     reference, _ = harness.run_ber(cfg)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(harness, "CAE_BLOCK_FRAMES", block)
+        patch.setattr(harness, "BLOCK_FRAMES", block)
         text, _ = harness.run_ber(replace(cfg, run=replace(cfg.run, workers=workers)))
+    assert text == reference
+
+
+TRANSMIT_RUNS = {
+    "ccdf": lambda cfg: harness.run_ccdf(cfg)[0],
+    "psd": harness.run_psd,
+    "acpr_obo": lambda cfg: harness.run_acpr_obo([cfg]),
+}
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(run=st.sampled_from(sorted(TRANSMIT_RUNS)),
+       method=st.sampled_from(["none", "cf", "slm", "cae"]),
+       amplifier=st.sampled_from(["rapp", "linear"]),
+       seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 40),
+       block=st.integers(1, 45), workers=st.sampled_from([1, 2]))
+def test_transmit_csv_independent_of_block_and_workers(configs, run, method, amplifier,
+                                                       seed, frames, block, workers):
+    cfg = configs["cae" if method == "cae" else "zf"]
+    if run == "ccdf":
+        frames += 99                      # the CCDF needs at least 100 frames
+    cfg = replace(cfg, method=replace(cfg.method, name=method),
+                  rf=replace(cfg.rf, amplifier=amplifier),
+                  run=replace(cfg.run, seed=seed, frames=frames))
+    reference = TRANSMIT_RUNS[run](cfg)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "BLOCK_FRAMES", block)
+        text = TRANSMIT_RUNS[run](replace(cfg, run=replace(cfg.run, workers=workers)))
     assert text == reference
 
 
