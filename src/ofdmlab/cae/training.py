@@ -18,7 +18,7 @@ import numpy as np
 from ..autodiff import AdamW, no_grad
 from ..autodiff.checkpoint import load_tensors, save_tensors
 from ..channel import Awgn, MultipathTaps, draw_channel, noise_variance_for_psnr
-from ..config import TrainSection
+from ..config import TrainSection, check_ibo_db
 from ..csvio import write_csv
 from ..errors import ConfigError, NumericError
 from ..modulation import qam_alphabet, symbols_to_bits
@@ -53,6 +53,10 @@ class TrainConfig(TrainSection):
     total_power: float = 1.0
     smoothness: float = 2.0
     seed: int = 0
+
+    def __post_init__(self):
+        super().__post_init__()
+        check_ibo_db(self.ibo_db)
 
     def channel_profile(self):
         if self.channel_taps == 0:

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands: train, ber, ccdf, psd, acpr-obo, gradcheck. Exit codes:
-0 success, 1 configuration error, 2 numeric or validation failure.
+0 success, 1 configuration error, 2 numeric or validation failure. A
+command-line usage error (an unknown subcommand, a missing or malformed
+option) is a configuration error: one ``config error:`` line on stderr and
+exit 1. ``-h`` prints the help and exits 0.
 """
 
 from __future__ import annotations
@@ -16,8 +19,18 @@ from .config import ExperimentConfig, load_config, with_overrides
 from .errors import ConfigError, NumericError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are configuration errors.
+
+    The subcommand parsers are of this class too.
+    """
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ofdmlab",
         description="MIMO-OFDM waveform experiments: training, BER, PAPR CCDF, spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -174,8 +187,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -18,6 +18,18 @@ from .autodiff import ACTIVATIONS
 from .errors import ConfigError
 
 
+# Input back-off range, dB. Far outside it the back-off drives the frame
+# power to ~1e-40 (400 dB: BER at chance, exit 0) or overflows (4000 dB).
+IBO_RANGE_DB = (-10.0, 40.0)
+
+
+def check_ibo_db(ibo_db: float) -> None:
+    """ConfigError unless ``ibo_db`` lies in IBO_RANGE_DB (which rules out NaN and inf)."""
+    low, high = IBO_RANGE_DB
+    if not low <= ibo_db <= high:
+        raise ConfigError(f"ibo_db must lie within [{low:g}, {high:g}] dB, got {ibo_db!r}")
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     return tuple(float(t) for t in items)
@@ -142,8 +154,7 @@ class ExperimentConfig:
             raise ConfigError(f"taps must be between 1 and n_subcarriers ({sys.n_subcarriers})")
         if self.rf.amplifier not in ("rapp", "linear"):
             raise ConfigError(f"unknown amplifier {self.rf.amplifier!r}")
-        if not math.isfinite(self.rf.ibo_db):
-            raise ConfigError("ibo_db must be finite")
+        check_ibo_db(self.rf.ibo_db)
         if not (math.isfinite(self.rf.total_power) and self.rf.total_power > 0.0):
             raise ConfigError("total_power must be positive and finite")
         if self.method.name not in ("none", "cf", "slm", "cae"):

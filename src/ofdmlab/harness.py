@@ -249,6 +249,16 @@ def _bit_errors(sent: np.ndarray, detected: np.ndarray, order: int) -> tuple[int
     return int(np.sum(sent_bits != got_bits)), sent_bits.size
 
 
+def _write_finite(path, header: list[str], rows: list[tuple]) -> str:
+    """``write_csv``, refused with a NumericError if a value in ``rows`` is not finite."""
+    for row in rows:
+        for name, value in zip(header, row):
+            if isinstance(value, float) and not np.isfinite(value):
+                raise NumericError(f"{name} is {value} at {header[0]} = {row[0]}; "
+                                   "no CSV written")
+    return write_csv(path, header, rows)
+
+
 def _map_blocks(task, n_frames: int, workers: int) -> list:
     """Order-preserving map of ``task`` over consecutive blocks of frame indices.
 
@@ -291,7 +301,7 @@ def run_ber(cfg: ExperimentConfig) -> tuple[str, list[CurveRecord]]:
         stderr = float(np.sqrt(max(ber * (1.0 - ber), 0.0) / bits))
         records.append(CurveRecord(p_snr_db, ber, bits, stderr))
     rows = [(r.x, r.y, r.count, r.stderr) for r in records]
-    return write_csv(cfg.run.out, BER_HEADER, rows), records
+    return _write_finite(cfg.run.out, BER_HEADER, rows), records
 
 
 def run_ccdf(cfg: ExperimentConfig, thresholds_db=None) -> tuple[str, list[CurveRecord]]:
@@ -328,7 +338,7 @@ def run_psd(cfg: ExperimentConfig) -> str:
     psd_db = 10.0 * np.log10(np.maximum(psd / psd.max(), floor))
     ref_db = 10.0 * np.log10(np.maximum(ref / ref.max(), floor))
     rows = [(float(freqs[i]), float(psd_db[i]), float(ref_db[i])) for i in range(n)]
-    return write_csv(cfg.run.out, PSD_HEADER, rows)
+    return _write_finite(cfg.run.out, PSD_HEADER, rows)
 
 
 def run_acpr_obo(cfg_list: list[ExperimentConfig], out=None) -> str:
@@ -345,7 +355,7 @@ def run_acpr_obo(cfg_list: list[ExperimentConfig], out=None) -> str:
         acpr_db = acpr(estimate, cfg.system.oversample)
         obo_db = float(10.0 * np.log10(cfg.rf.total_power / mean_backed_total))
         rows.append((cfg.method.name, acpr_db, obo_db))
-    return write_csv(out, ACPR_OBO_HEADER, rows)
+    return _write_finite(out, ACPR_OBO_HEADER, rows)
 
 
 def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> tuple[list[CheckResult], bool]:

@@ -29,10 +29,16 @@ def pam_levels(order: int) -> np.ndarray:
     return levels
 
 
+@lru_cache(maxsize=None)
 def qam_alphabet(order: int) -> np.ndarray:
-    """Full complex alphabet, enumerated real-part major, unit average energy."""
+    """Full complex alphabet, enumerated real-part major, unit average energy.
+
+    The alphabet is a shared read-only array.
+    """
     levels = pam_levels(order)
-    return (levels[:, None] + 1j * levels[None, :]).reshape(-1)
+    alphabet = (levels[:, None] + 1j * levels[None, :]).reshape(-1)
+    alphabet.setflags(write=False)
+    return alphabet
 
 
 def nearest_level_index(values: np.ndarray, levels: np.ndarray) -> np.ndarray:
@@ -112,10 +118,19 @@ class OfdmGrid:
     @classmethod
     def random(cls, rng: np.random.Generator, n_antennas: int, n_subcarriers: int,
                order: int) -> "OfdmGrid":
-        """Draw a grid of i.i.d. uniform constellation symbols."""
+        """Draw a grid of i.i.d. uniform constellation symbols.
+
+        The symbols are alphabet points by construction, so the grid skips
+        the on-alphabet check a grid built from given symbols gets.
+        """
         alphabet = qam_alphabet(order)
+        if n_antennas < 1 or n_subcarriers < 1:
+            raise ValueError("grid must be a non-empty 2-D complex matrix")
         idx = rng.integers(0, alphabet.size, size=(n_antennas, n_subcarriers))
-        return cls(alphabet[idx], order)
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "symbols", alphabet[idx])
+        object.__setattr__(grid, "constellation_order", order)
+        return grid
 
 
 def grid_bits(grid: OfdmGrid) -> np.ndarray:

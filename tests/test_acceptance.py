@@ -260,6 +260,7 @@ SMOKE_CONFIG = TrainConfig(
 
 
 class TestCriterion9TrainingSmoke:
+    @pytest.mark.slow
     def test_training_smoke(self, tmp_path):
         start = time.time()
         ckpt_a = tmp_path / "run_a.bin"

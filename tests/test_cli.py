@@ -65,6 +65,10 @@ BAD_INPUTS = {   # name -> (text replacements applied to BASE, words of the mess
                    "total_power"),
     "clip_inf": ([("[rf]", "[method]\nname = cf\nclip_ratio_db = inf\n[rf]")],
                  "clip_ratio_db"),
+    # 4000 dB overflowed in the back-off, 400 dB ran to a BER at chance
+    "ibo_4000": ([("amplifier = linear", "amplifier = rapp\nibo_db = 4000")], "ibo_db"),
+    "ibo_400": ([("amplifier = linear", "amplifier = rapp\nibo_db = 400")], "ibo_db"),
+    "ibo_below": ([("amplifier = linear", "amplifier = rapp\nibo_db = -10.5")], "ibo_db"),
 }
 
 
@@ -113,6 +117,92 @@ class TestBadInputs:
         assert main(["ber", "--config", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == ["numeric error: channel matrix at subcarrier 0 is singular"]
+
+
+class TestUsageErrors:
+    """argparse usage errors are configuration errors: one line, exit 1."""
+
+    @pytest.mark.parametrize("argv,words", [
+        (["ber", "--config", "x.cfg", "--frames", "abc"], "invalid int value: 'abc'"),
+        (["bogus"], "invalid choice: 'bogus'"),
+        (["ber"], "required: --config"),
+        ([], "required: command"),
+    ], ids=["bad_int", "unknown_subcommand", "missing_config", "no_subcommand"])
+    def test_usage_error_is_config_error(self, argv, words, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ") and words in err[0]
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [["-h"], ["ber", "-h"]])
+    def test_help_exits_zero(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: ofdmlab" in capsys.readouterr().out
+
+
+class TestInputBackoffRange:
+    def test_train_refuses_ibo_out_of_range(self, tmp_path, capsys, monkeypatch):
+        _refuse_frames(monkeypatch)
+        out = tmp_path / "model.bin"
+        path = tmp_path / "train.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp\nibo_db = 400")
+                        + f"out = {out}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: ibo_db must lie within")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("ibo_db", [-10.0, 40.0])
+    def test_range_ends_accepted(self, cfg_file, tmp_path, ibo_db):
+        path = tmp_path / "edge.cfg"
+        path.write_text(BASE.replace("amplifier = linear", f"amplifier = rapp\nibo_db = {ibo_db}"))
+        assert main(["ber", "--config", str(path), "--frames", "2",
+                     "--out", str(tmp_path / "ber.csv")]) == 0
+
+    @pytest.mark.parametrize("ibo_db", [400.0, float("nan")])
+    def test_train_config_refuses_ibo_out_of_range(self, ibo_db):
+        from ofdmlab.cae.training import TrainConfig
+        from ofdmlab.errors import ConfigError
+        with pytest.raises(ConfigError, match="ibo_db"):
+            TrainConfig(ibo_db=ibo_db)
+
+
+def _nan_amplifier(monkeypatch):
+    import ofdmlab.harness as harness
+    monkeypatch.setattr(harness, "rapp_amplify",
+                        lambda frame, params: frame.with_samples(frame.samples * np.nan))
+
+
+class TestNonFiniteResults:
+    """A non-finite BER, PSD, ACPR or OBO: one line, exit 2, no CSV."""
+
+    def _refused(self, argv, out, words, capsys):
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"numeric error: {words} is nan")
+        assert not out.exists()
+
+    def test_ber(self, cfg_file, tmp_path, capsys, monkeypatch):
+        import ofdmlab.harness as harness
+        monkeypatch.setattr(harness._FrameChain, "ber_block",
+                            lambda self, frames, point, sigma_w2: (float("nan"), 100))
+        self._refused(["ber", "--config", str(cfg_file)], tmp_path / "ber.csv", "ber", capsys)
+
+    def test_psd(self, tmp_path, capsys, monkeypatch):
+        _nan_amplifier(monkeypatch)
+        path = tmp_path / "rapp.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp"))
+        self._refused(["psd", "--config", str(path)], tmp_path / "psd.csv", "psd_db", capsys)
+
+    def test_acpr_obo(self, tmp_path, capsys, monkeypatch):
+        _nan_amplifier(monkeypatch)
+        path = tmp_path / "rapp.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp"))
+        self._refused(["acpr-obo", "--config", str(path), "--frames", "3"],
+                      tmp_path / "table.csv", "acpr_db", capsys)
 
 
 def _refuse_frames(monkeypatch):

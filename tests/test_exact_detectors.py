@@ -1,11 +1,13 @@
 """The vectorized receive side against the per-subcarrier, per-frame code it replaces.
 
 The oracles below are verbatim copies of the earlier exhaustive MLE and ZF
-detectors (one search or one SVD + pseudo-inverse per subcarrier) and of
-the earlier per-frame CAE link (a batch of one through ``run_batch``). The
-new detectors must match them bit for bit on random and tied instances,
-and ``run_ber`` with the CAE must write the same CSV bytes for any frame
-block size and worker count.
+detectors (one search or one SVD + pseudo-inverse per subcarrier), of the
+chunk loop's per-candidate metric, and of the earlier per-frame CAE link (a
+batch of one through ``run_batch``). The new detectors must match them bit
+for bit on random and tied instances, on both MLE paths (the chunk loop
+and, above ``MLE_SPHERE_MIN`` candidates, the sphere-filtered search), and
+``run_ber`` must write the same CSV bytes for any frame block size, worker
+count and MLE path.
 """
 
 from dataclasses import replace
@@ -19,7 +21,7 @@ from ofdmlab.baselines import MLE_CANDIDATE_GUARD, mle_detect, zf_detect
 from ofdmlab.cae import training
 from ofdmlab.cae.pipeline import build_system
 from ofdmlab.channel import (ChannelRealization, MultipathTaps, apply_channel,
-                             draw_channel)
+                             draw_channel, noise_variance_for_psnr)
 from ofdmlab.config import parse_config
 from ofdmlab.errors import NumericError
 from ofdmlab.harness import frame_rng, run_ber
@@ -57,6 +59,37 @@ def mle_detect_ref(chan: ChannelRealization, y_freq: np.ndarray, order: int) -> 
         best = int(np.argmin(errors.sum(axis=1)))
         detected[:, k] = candidates[best]
     return detected
+
+
+def chunk_metrics_ref(chan: ChannelRealization, y_freq: np.ndarray, order: int) -> np.ndarray:
+    """Every candidate's metric as the chunk loop computes it, [n_sub, count].
+
+    The earlier ``mle_detect`` body in ``MLE_CHUNK``-row chunks of 1024,
+    recording each chunk's metrics instead of its minimum.
+    """
+    k, n_rx = chan.n_subcarriers, chan.n_rx
+    candidates = _candidate_vectors_ref(order, chan.n_tx)
+    count = candidates.shape[0]
+    chunk = min(count, 1024)
+    h_t = np.swapaxes(chan.h, 1, 2)
+    y_col = y_freq[:, None, :]
+    hypotheses = np.empty((k, chunk, n_rx), dtype=np.complex128)
+    distance = np.empty((k, chunk, n_rx))
+    metric = np.empty((k, chunk))
+    table = np.empty((k, count))
+    for start in range(0, count, chunk):
+        block = candidates[start:start + chunk]
+        n = block.shape[0]
+        hyp, dist, m = hypotheses[:, :n], distance[:, :n], metric[:, :n]
+        np.matmul(block, h_t, out=hyp)
+        np.subtract(y_col, hyp, out=hyp)
+        np.abs(hyp, out=dist)
+        np.square(dist, out=dist)
+        np.copyto(m, dist[:, :, 0])
+        for r in range(1, n_rx):
+            m += dist[:, :, r]
+        table[:, start:start + n] = m
+    return table
 
 
 def zf_detect_ref(chan: ChannelRealization, y_freq: np.ndarray, order: int) -> np.ndarray:
@@ -156,6 +189,103 @@ def test_mle_exact_for_any_chunk(monkeypatch, chunk):
     for _ in range(5):
         chan, y = instance(rng, 9, 2, 2, 16, taps=3)
         assert_same(mle_detect(chan, y, 16), mle_detect_ref(chan, y, 16))
+
+
+# -- the sphere-filtered path ---------------------------------------------------------
+
+
+def test_sphere_threshold_routes_the_large_searches():
+    # 2x2 16-QAM (256 candidates) keeps the chunk loop, 3-tx 16-QAM (4096) does not
+    assert 16 ** 2 <= baselines.MLE_SPHERE_MIN < 16 ** 3
+
+
+@pytest.mark.parametrize("n_rx", [2, 3, 4])
+def test_sphere_exact_three_tx_16qam(n_rx):
+    # n_rx = 2 leaves the first level without a row of R: it keeps all 16 symbols
+    rng = np.random.default_rng(30 + n_rx)
+    for _ in range(3):
+        chan, y = instance(rng, 24, 3, n_rx, 16, sigma_w2=0.05, taps=4)
+        assert_same(mle_detect(chan, y, 16), mle_detect_ref(chan, y, 16))
+
+
+@pytest.mark.parametrize("p_snr_db", [0.0, 20.0, 40.0])
+def test_sphere_exact_4x4_16qam_across_snr(p_snr_db):
+    rng = np.random.default_rng(34)
+    chan, y = instance(rng, 72, 4, 4, 16, sigma_w2=noise_variance_for_psnr(p_snr_db), taps=5)
+    assert_same(mle_detect(chan, y, 16), mle_detect_ref(chan, y, 16))
+
+
+def test_sphere_rounding_decides_midpoint_ties_like_oracle():
+    # y halfway between two candidates one level apart on one antenna: the
+    # exhaustive metric's rounding decides, and the sphere path must agree
+    rng = np.random.default_rng(35)
+    alphabet = qam_alphabet(16)
+    for _ in range(2):
+        chan = draw_channel(rng, 72, 4, 4, MultipathTaps(5))
+        a_idx = rng.integers(0, 16, (72, 4))
+        b_idx = a_idx.copy()
+        antenna = rng.integers(0, 4, 72)
+        rows = np.arange(72)
+        b_idx[rows, antenna] = np.where(a_idx[rows, antenna] % 4 < 3,
+                                        a_idx[rows, antenna] + 1, a_idx[rows, antenna] - 1)
+        a, b = alphabet[a_idx], alphabet[b_idx]
+        y = 0.5 * (np.einsum("krt,kt->kr", chan.h, a) + np.einsum("krt,kt->kr", chan.h, b))
+        assert_same(mle_detect(chan, y, 16), mle_detect_ref(chan, y, 16))
+
+
+@pytest.mark.parametrize("nodes", [0, 40])
+def test_sphere_frontier_budget_falls_back_exactly(monkeypatch, nodes):
+    # budget 0 sends every subcarrier to the chunk loop, 40 only the widest
+    calls = []
+    inner = baselines._exhaustive_search
+
+    def spy(h, y, candidates, chunk):
+        calls.append(h.shape[0])
+        return inner(h, y, candidates, chunk)
+
+    monkeypatch.setattr(baselines, "MLE_SPHERE_NODES", nodes)
+    monkeypatch.setattr(baselines, "_exhaustive_search", spy)
+    rng = np.random.default_rng(36)
+    chan, y = instance(rng, 16, 4, 4, 16, sigma_w2=0.5, taps=4)
+    assert_same(mle_detect(chan, y, 16), mle_detect_ref(chan, y, 16))
+    assert len(calls) == 1
+    assert calls[0] == 16 if nodes == 0 else 0 < calls[0] < 16
+
+
+@pytest.mark.parametrize("width", [2, 3, 17, 300])
+def test_rescored_metrics_equal_chunk_loop_metrics(width):
+    rng = np.random.default_rng(37)
+    alphabet = qam_alphabet(16)
+    chan, y = instance(rng, 8, 4, 4, 16, taps=3)
+    table = chunk_metrics_ref(chan, y, 16)
+    picks = np.stack([np.sort(rng.choice(16 ** 4, width, replace=False)) for _ in range(8)])
+    digits = (picks[:, :, None] // 16 ** np.arange(3, -1, -1)) % 16
+    metric = baselines._survivor_metrics(chan.h, y, alphabet[digits])
+    assert np.array_equal(metric, np.take_along_axis(table, picks, axis=1))
+
+
+def test_sphere_path_never_builds_the_candidate_table(monkeypatch):
+    def refuse(order, n_tx):
+        raise AssertionError(f"candidate table built for {order}-QAM x {n_tx}")
+
+    rng = np.random.default_rng(38)
+    chan, y = instance(rng, 72, 4, 4, 16, sigma_w2=noise_variance_for_psnr(20.0), taps=5)
+    ref = mle_detect_ref(chan, y, 16)
+    monkeypatch.setattr(baselines, "_candidate_vectors", refuse)
+    assert_same(mle_detect(chan, y, 16), ref)
+
+
+def test_sphere_and_exhaustive_paths_write_the_same_ber_csv(monkeypatch):
+    # the detect-ber 4x4 16-QAM link over p-SNR 0-24 dB
+    cfg = parse_config(
+        "[system]\nn_tx = 4\nn_rx = 4\nn_subcarriers = 72\noversample = 4\nmod_order = 16\n"
+        "[channel]\nprofile = multipath\ntaps = 13\n"
+        "[method]\nname = cf\n[detector]\nname = mle\n"
+        "[run]\nframes = 2\nseed = 8\np_snr_db = 0, 4, 8, 12, 16, 20, 24\n")
+    sphere, _ = run_ber(cfg)
+    monkeypatch.setattr(baselines, "MLE_SPHERE_MIN", 16 ** 4)
+    exhaustive, _ = run_ber(cfg)
+    assert sphere == exhaustive
 
 
 # -- exact ties ----------------------------------------------------------------------
