@@ -326,11 +326,14 @@ def _sphere_detect(h: np.ndarray, y_freq: np.ndarray, order: int) -> np.ndarray:
     counts = np.bincount(sub, minlength=k)
     start = np.cumsum(counts) - counts
     slot = np.arange(sub.size) - start[sub]
-    # Subcarriers are re-scored in groups of similar survivor counts, each
+    detected = np.empty((k, n_tx), dtype=np.complex128)
+    # a lone survivor wins as it is
+    alone = counts == 1
+    detected[alone] = survivors[start[alone]]
+    # The others are re-scored in groups of similar survivor counts, each
     # padded to a power of two; two rows or more keep the matrix product on
     # the kernel the chunk loop uses.
-    width = np.where(counts > 0, 2 ** np.ceil(np.log2(np.maximum(counts, 2))), 0).astype(int)
-    detected = np.empty((k, n_tx), dtype=np.complex128)
+    width = np.where(counts > 1, 2 ** np.ceil(np.log2(np.maximum(counts, 1))), 0).astype(int)
     for w in np.unique(width[width > 0]):
         group = np.flatnonzero(width == w)
         position = np.full(k, -1)

@@ -233,6 +233,21 @@ def test_sphere_rounding_decides_midpoint_ties_like_oracle():
         assert_same(mle_detect(chan, y, 16), mle_detect_ref(chan, y, 16))
 
 
+@pytest.mark.parametrize("n_tx,n_rx", [(4, 4), (3, 2)])
+def test_sphere_keeps_exact_ties_of_a_noise_free_observation(n_tx, n_rx):
+    # two equal channel columns: swapping their symbols ties exactly in the
+    # exhaustive metric, while the QR metric of the noise-free observation
+    # is ~0 and differs between the two by rounding only
+    rng = np.random.default_rng(39)
+    chan = draw_channel(rng, 24, n_tx, n_rx, MultipathTaps(4))
+    h = chan.h.copy()
+    h[:, :, 1] = h[:, :, 0]
+    chan = ChannelRealization(h, 0.0, chan.pdp)
+    x = qam_alphabet(16)[rng.integers(0, 16, (24, n_tx))]
+    y = np.einsum("krt,kt->kr", h, x)
+    assert_same(mle_detect(chan, y, 16), mle_detect_ref(chan, y, 16))
+
+
 @pytest.mark.parametrize("nodes", [0, 40])
 def test_sphere_frontier_budget_falls_back_exactly(monkeypatch, nodes):
     # budget 0 sends every subcarrier to the chunk loop, 40 only the widest
