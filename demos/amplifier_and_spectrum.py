@@ -21,14 +21,14 @@ print(f"saturation never exceeds a0 = {params.a0:.4f}")
 
 rng = np.random.default_rng(7)
 grid = OfdmGrid.random(rng, 2, 72, 4)
-filtered = bandpass_filter(idft_oversampled(grid, 4))
+filtered = bandpass_filter(idft_oversampled(grid.symbols, 4), 4)
 
 print("\ndrive level vs. spectral purity (single frame):")
 print("  IBO     ACPR        OBO")
 for ibo_db in (3.0, 6.0, 9.0, 12.0):
     backed = apply_ibo(filtered, ibo_db, params)
     hot = rapp_amplify(backed, params)
-    a = acpr(estimate_psd(hot), hot.L)
+    a = acpr(estimate_psd(hot), 4)
     o = obo(backed, 1.0)
     print(f"  {ibo_db:4.1f}  {a:8.2f} dB  {o:6.2f} dB")
 print("\nbacking off buys spectral purity and costs radiated power,")

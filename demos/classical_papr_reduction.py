@@ -7,20 +7,19 @@ the worst-antenna PAPR for each method.
 import numpy as np
 
 from ofdmlab import OfdmGrid, bandpass_filter, idft_oversampled, papr_mimo
-from ofdmlab.baselines import ClipConfig, SlmCodebook, clip_and_filter, slm_encode
+from ofdmlab.baselines import SlmCodebook, clip_and_filter, slm_encode
 
 rng = np.random.default_rng(11)
-clip = ClipConfig(clip_ratio_db=4.08)
 book = SlmCodebook.random(seed=11, n_candidates=64, n_subcarriers=72)
 
 plain, clipped, mapped = [], [], []
 for _ in range(1500):
     grid = OfdmGrid.random(rng, 2, 72, 4)
-    frame = idft_oversampled(grid, 4)
-    plain.append(papr_mimo(bandpass_filter(frame)))
-    clipped.append(papr_mimo(clip_and_filter(frame, clip)))
+    frame = idft_oversampled(grid.symbols, 4)
+    plain.append(papr_mimo(bandpass_filter(frame, 4)))
+    clipped.append(papr_mimo(clip_and_filter(frame, 4.08, 4)))
     slm_frame, _ = slm_encode(grid, book, 4)
-    mapped.append(papr_mimo(bandpass_filter(slm_frame)))
+    mapped.append(papr_mimo(bandpass_filter(slm_frame, 4)))
 
 to_db = lambda x: 10 * np.log10(np.array(x))
 plain, clipped, mapped = to_db(plain), to_db(clipped), to_db(mapped)

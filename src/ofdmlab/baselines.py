@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .channel import ChannelRealization
-from .dsp import Stage, TimeFrame, synthesize
+from .dsp import idft_oversampled
 from .errors import ConfigError, NumericError
 from .modulation import OfdmGrid, nearest_level_index, pam_levels, qam_alphabet
 from .rf import bandpass_filter
@@ -41,17 +41,6 @@ MLE_SLACK = 1e-9
 # are searched exhaustively, so memory stays bounded at any SNR.
 MLE_SPHERE_NODES = 2 ** 14
 SLM_PHASES = np.array([1.0, -1.0, 1.0j, -1.0j])
-
-
-@dataclass(frozen=True)
-class ClipConfig:
-    """Amplitude limit relative to the RMS level, in dB."""
-
-    clip_ratio_db: float = 4.08
-
-    def __post_init__(self):
-        if not np.isfinite(self.clip_ratio_db):
-            raise ValueError("clip ratio must be finite")
 
 
 @dataclass(frozen=True)
@@ -86,43 +75,46 @@ class SlmCodebook:
         return cls(phases, seed)
 
 
-def clip_only(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
-    """Hard-limit the envelope at rms * 10^(ratio/20), per frame; phase preserved."""
-    power = frame.frame_power()
+def clip_only(samples: np.ndarray, clip_ratio_db: float) -> np.ndarray:
+    """Hard-limit the envelope at rms * 10^(ratio/20), per frame [A, N]; phase preserved."""
+    if not np.isfinite(clip_ratio_db):
+        raise ValueError("clip ratio must be finite")
+    power = np.mean(np.abs(samples) ** 2, axis=(-2, -1), keepdims=True)
     if np.any(power == 0.0):
         raise ValueError("cannot clip an all-zero frame")
-    limit = np.sqrt(power) * 10.0 ** (cfg.clip_ratio_db / 20.0)
-    magnitude = np.abs(frame.samples)
+    limit = np.sqrt(power) * 10.0 ** (clip_ratio_db / 20.0)
+    magnitude = np.abs(samples)
     scale = np.where(magnitude > limit, limit / np.maximum(magnitude, 1e-300), 1.0)
-    return frame.with_samples(frame.samples * scale)
+    return samples * scale
 
 
-def clip_and_filter(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
+def clip_and_filter(samples: np.ndarray, clip_ratio_db: float, L: int) -> np.ndarray:
     """One clip pass, then the band-pass filter.
 
     The filter restores strict band limitation at the price of some peak
     regrowth.
     """
-    return bandpass_filter(clip_only(frame, cfg))
+    return bandpass_filter(clip_only(samples, clip_ratio_db), L)
 
 
-def slm_encode(grid: OfdmGrid, book: SlmCodebook, oversample: int) -> tuple[TimeFrame, int]:
+def slm_encode(grid: OfdmGrid, book: SlmCodebook, L: int) -> tuple[np.ndarray, int]:
     """Pick the candidate phase sequence with the lowest worst-antenna PAPR.
 
-    All antennas share the candidate's sequence. Returns the synthesized
-    frame of the winner and its index (side information for the receiver).
+    All antennas share the candidate's sequence. Returns the winner's
+    oversampled time samples [A, L*K] and its index (side information for
+    the receiver).
     """
     symbols = grid.symbols
     if book.phases.shape[1] != symbols.shape[1]:
         raise ValueError("codebook length does not match the grid")
     candidates = book.phases[:, None, :] * symbols[None, :, :]
-    rows = synthesize(candidates, oversample)
+    rows = idft_oversampled(candidates, L)
     power = np.abs(rows) ** 2
     per_antenna = power.max(axis=2) / power.mean(axis=2)
     worst = per_antenna.max(axis=1)
     winner = int(np.argmin(worst))
     # a copy, so that a caller holding the frame does not hold every candidate
-    return TimeFrame(rows[winner].copy(), L=oversample, stage=Stage.RAW), winner
+    return rows[winner].copy(), winner
 
 
 def check_mle_size(order: int, n_tx: int) -> None:
@@ -354,6 +346,20 @@ def _sphere_detect(h: np.ndarray, y_freq: np.ndarray, order: int) -> np.ndarray:
     return detected
 
 
+def _observation(chan: ChannelRealization, y_freq) -> np.ndarray:
+    """``y_freq`` as a complex [n_sub, n_rx] array; NumericError if a value is not finite.
+
+    A NaN observation would otherwise make every metric NaN and detect an
+    arbitrary symbol with a finite bit error count.
+    """
+    y_freq = np.asarray(y_freq, dtype=np.complex128)
+    if y_freq.shape != (chan.n_subcarriers, chan.n_rx):
+        raise ValueError("y shape does not match the channel")
+    if not np.isfinite(y_freq).all():
+        raise NumericError("received signal is not finite")
+    return y_freq
+
+
 def mle_detect(chan: ChannelRealization, y_freq: np.ndarray, order: int) -> np.ndarray:
     """Exact minimum-distance detection on every subcarrier at once.
 
@@ -365,11 +371,9 @@ def mle_detect(chan: ChannelRealization, y_freq: np.ndarray, order: int) -> np.n
     the QR domain keeps the candidates that can win, and the same metric,
     computed with the same float operations, picks among them; subcarriers
     whose search grows too wide get the chunk loop. The detections are the
-    same either way, bit for bit.
+    same either way, bit for bit. A non-finite ``y_freq`` is a NumericError.
     """
-    y_freq = np.asarray(y_freq, dtype=np.complex128)
-    if y_freq.shape != (chan.n_subcarriers, chan.n_rx):
-        raise ValueError("y shape does not match the channel")
+    y_freq = _observation(chan, y_freq)
     check_mle_size(order, chan.n_tx)
     # one memory layout for both paths (and for the sphere path's copies)
     h = np.ascontiguousarray(chan.h)
@@ -385,11 +389,10 @@ def zf_detect(chan: ChannelRealization, y_freq: np.ndarray, order: int) -> np.nd
 
     All subcarriers are equalized in one batched SVD and pseudo-inverse; a
     channel matrix whose smallest singular value is below 1e-12 is a
-    NumericError that names the first such subcarrier.
+    NumericError that names the first such subcarrier, and so is a
+    non-finite ``y_freq``.
     """
-    y_freq = np.asarray(y_freq, dtype=np.complex128)
-    if y_freq.shape != (chan.n_subcarriers, chan.n_rx):
-        raise ValueError("y shape does not match the channel")
+    y_freq = _observation(chan, y_freq)
     smallest = np.linalg.svd(chan.h, compute_uv=False)[:, -1]
     singular = np.flatnonzero(smallest < 1e-12)
     if singular.size:

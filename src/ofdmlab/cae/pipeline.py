@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import DiffTensor, as_tensor, matmul, reshape, tmean, transpose
-from ..dsp import synthesize
+from ..dsp import idft_oversampled
 from ..modulation import pam_levels, symbols_to_level_indices
 from ..rf import RappParams
 from .complexpair import (CPair, DftBank, complexify_tensor, cp_abs2,
@@ -116,7 +116,7 @@ class CaeSystem:
     def transmit(self, grids: np.ndarray, train: bool) -> dict:
         """Run the transmit side; returns every pipeline stage as tape pairs."""
         n_batch = grids.shape[0]
-        raw = synthesize(grids, self.oversample)
+        raw = idft_oversampled(grids, self.oversample)
         enc_in = np.concatenate([raw.real, raw.imag], axis=2)
         enc_in = as_tensor(enc_in.reshape(n_batch, 1, self.n_tx, -1))
         encoded_rows = self.encoder.forward(enc_in, train)

@@ -18,7 +18,7 @@ import numpy as np
 from ..autodiff import AdamW, no_grad
 from ..autodiff.checkpoint import load_tensors, save_tensors
 from ..channel import Awgn, MultipathTaps, draw_channel, noise_variance_for_psnr
-from ..config import TrainSection, check_ibo_db
+from ..config import IBO_RANGE_DB, TOTAL_POWER_RANGE, TrainSection, check_range
 from ..csvio import write_csv
 from ..errors import ConfigError, NumericError
 from ..modulation import qam_alphabet, symbols_to_bits
@@ -56,7 +56,8 @@ class TrainConfig(TrainSection):
 
     def __post_init__(self):
         super().__post_init__()
-        check_ibo_db(self.ibo_db)
+        check_range("ibo_db", self.ibo_db, IBO_RANGE_DB, " dB")
+        check_range("total_power", self.total_power, TOTAL_POWER_RANGE)
 
     def channel_profile(self):
         if self.channel_taps == 0:

@@ -21,13 +21,20 @@ from .errors import ConfigError
 # Input back-off range, dB. Far outside it the back-off drives the frame
 # power to ~1e-40 (400 dB: BER at chance, exit 0) or overflows (4000 dB).
 IBO_RANGE_DB = (-10.0, 40.0)
+# Total radiated power range (the amplifiers' shared budget; 1.0 by default).
+# Far below it the frame power is subnormal: 1e-320 wrote a PSD of -3000 dB.
+TOTAL_POWER_RANGE = (1e-6, 1e6)
+# Clipping level range, dB above each frame's RMS. Far below it the clip keeps
+# only each sample's phase (-400 dB: BER at chance) or zeroes the frame
+# (-4000 dB); far above it the clip never acts and its scale overflows (4000 dB).
+CLIP_RATIO_RANGE_DB = (-10.0, 30.0)
 
 
-def check_ibo_db(ibo_db: float) -> None:
-    """ConfigError unless ``ibo_db`` lies in IBO_RANGE_DB (which rules out NaN and inf)."""
-    low, high = IBO_RANGE_DB
-    if not low <= ibo_db <= high:
-        raise ConfigError(f"ibo_db must lie within [{low:g}, {high:g}] dB, got {ibo_db!r}")
+def check_range(name: str, value: float, bounds: tuple[float, float], unit: str = "") -> None:
+    """ConfigError unless ``value`` lies in ``bounds`` (which rules out NaN and inf)."""
+    low, high = bounds
+    if not low <= value <= high:
+        raise ConfigError(f"{name} must lie within [{low:g}, {high:g}]{unit}, got {value!r}")
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -154,13 +161,11 @@ class ExperimentConfig:
             raise ConfigError(f"taps must be between 1 and n_subcarriers ({sys.n_subcarriers})")
         if self.rf.amplifier not in ("rapp", "linear"):
             raise ConfigError(f"unknown amplifier {self.rf.amplifier!r}")
-        check_ibo_db(self.rf.ibo_db)
-        if not (math.isfinite(self.rf.total_power) and self.rf.total_power > 0.0):
-            raise ConfigError("total_power must be positive and finite")
+        check_range("ibo_db", self.rf.ibo_db, IBO_RANGE_DB, " dB")
+        check_range("total_power", self.rf.total_power, TOTAL_POWER_RANGE)
         if self.method.name not in ("none", "cf", "slm", "cae"):
             raise ConfigError(f"unknown method {self.method.name!r}")
-        if not math.isfinite(self.method.clip_ratio_db):
-            raise ConfigError("clip_ratio_db must be finite")
+        check_range("clip_ratio_db", self.method.clip_ratio_db, CLIP_RATIO_RANGE_DB, " dB")
         if self.method.slm_candidates < 1:
             raise ConfigError("slm_candidates must be >= 1")
         if self.detector not in ("mle", "zf", "cae"):

@@ -26,11 +26,10 @@ from .channel import (Awgn, MultipathTaps, apply_channel, draw_channel,
                       noise_variance_for_psnr)
 from .config import ExperimentConfig
 from .csvio import write_csv
-from .dsp import (PsdEstimate, Stage, TimeFrame, dft_unpad, estimate_psd,
-                  idft_oversampled, papr_mimo)
+from .dsp import dft_unpad, estimate_psd, idft_oversampled, papr_mimo
 from .errors import ConfigError, NumericError
 from .modulation import OfdmGrid, qam_alphabet, symbols_to_bits
-from .rf import RappParams, acpr, apply_ibo, bandpass_filter, bussgang_alpha, obo, rapp_amplify
+from .rf import RappParams, acpr, apply_ibo, bandpass_filter, bussgang_alpha, rapp_amplify
 
 BER_HEADER = ["p_snr_db", "ber", "bit_count", "stderr"]
 CCDF_HEADER = ["papr0_db", "ccdf"]
@@ -110,7 +109,7 @@ class _FrameChain:
 
     # -- transmit side -------------------------------------------------------
 
-    def filtered_block(self, grids: list[OfdmGrid]) -> tuple[TimeFrame, np.ndarray | None]:
+    def filtered_block(self, grids: list[OfdmGrid]) -> tuple[np.ndarray, np.ndarray | None]:
         """Method-specific band-limited [F, A, N] block plus SLM phases [F, K] if any.
 
         SLM picks each frame's candidate on its own (a stacked candidate
@@ -123,25 +122,25 @@ class _FrameChain:
             with no_grad():
                 rows = [self.system.transmit(g.symbols[None], train=False)["filtered"].values()[0]
                         for g in grids]
-            return TimeFrame(np.stack(rows), oversample, Stage.FILTERED), None
+            return np.stack(rows), None
         if cfg.method.name == "slm":
             encoded = [baselines.slm_encode(g, self.book, oversample) for g in grids]
-            raw = TimeFrame(np.stack([frame.samples for frame, _ in encoded]), oversample)
-            return bandpass_filter(raw), self.book.phases[[index for _, index in encoded]]
+            raw = np.stack([samples for samples, _ in encoded])
+            return (bandpass_filter(raw, oversample),
+                    self.book.phases[[index for _, index in encoded]])
         raw = idft_oversampled(np.stack([g.symbols for g in grids]), oversample)
         if cfg.method.name == "cf":
-            clip = baselines.ClipConfig(cfg.method.clip_ratio_db)
-            return baselines.clip_and_filter(raw, clip), None
-        return bandpass_filter(raw), None
+            return baselines.clip_and_filter(raw, cfg.method.clip_ratio_db, oversample), None
+        return bandpass_filter(raw, oversample), None
 
-    def drawn_block(self, frames: range) -> TimeFrame:
+    def drawn_block(self, frames: range) -> np.ndarray:
         """The band-limited [F, A, N] block of a transmit-only run's ``frames``."""
         s = self.cfg.system
         grids = [OfdmGrid.random(frame_rng(self.cfg.run.seed, i, 0),
                                  s.n_tx, s.n_subcarriers, s.mod_order) for i in frames]
         return self.filtered_block(grids)[0]
 
-    def amplified(self, filtered: TimeFrame) -> tuple[TimeFrame, TimeFrame]:
+    def amplified(self, filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """IBO + amplifier; returns (backed_off, amplified).
 
         A linear front end bypasses both back-off and saturation: the frames
@@ -152,16 +151,14 @@ class _FrameChain:
         backed = apply_ibo(filtered, self.cfg.rf.ibo_db, self.params)
         return backed, rapp_amplify(backed, self.params)
 
-    def _gain(self, filtered: TimeFrame, amplified: TimeFrame, f: int) -> complex:
+    def _gain(self, filtered: np.ndarray, amplified: np.ndarray, f: int) -> complex:
         """Bussgang gain of frame ``f`` of a block; unity for a linear front end.
 
         Computed per frame: the stacked product rounds differently.
         """
         if self.cfg.rf.amplifier == "linear":
             return 1.0 + 0.0j
-        oversample = self.cfg.system.oversample
-        return bussgang_alpha(TimeFrame(filtered.samples[f], oversample),
-                              TimeFrame(amplified.samples[f], oversample))
+        return bussgang_alpha(filtered[f], amplified[f])
 
     # -- one full link -------------------------------------------------------
 
@@ -233,13 +230,13 @@ class _FrameChain:
     def psd_block(self, frames: range) -> tuple[np.ndarray, np.ndarray]:
         """PSD bins [F, N] of each amplified frame and of its linear reference."""
         backed, amplified = self.amplified(self.drawn_block(frames))
-        return estimate_psd(amplified).bin_power, estimate_psd(backed).bin_power
+        return estimate_psd(amplified), estimate_psd(backed)
 
     def spectral_block(self, frames: range) -> tuple[np.ndarray, np.ndarray]:
         """PSD bins [F, N] of each amplified frame plus its backed-off antenna power sum [F]."""
         backed, amplified = self.amplified(self.drawn_block(frames))
-        per_antenna_total = np.sum(np.mean(np.abs(backed.samples) ** 2, axis=-1), axis=-1)
-        return estimate_psd(amplified).bin_power, per_antenna_total
+        per_antenna_total = np.sum(np.mean(np.abs(backed) ** 2, axis=-1), axis=-1)
+        return estimate_psd(amplified), per_antenna_total
 
 
 def _bit_errors(sent: np.ndarray, detected: np.ndarray, order: int) -> tuple[int, int]:
@@ -351,8 +348,7 @@ def run_acpr_obo(cfg_list: list[ExperimentConfig], out=None) -> str:
         results = _map_blocks(chain.spectral_block, cfg.run.frames, cfg.run.workers)
         psd_bins = np.mean(np.concatenate([r[0] for r in results]), axis=0)
         mean_backed_total = float(np.mean(np.concatenate([r[1] for r in results])))
-        estimate = PsdEstimate(psd_bins, 1.0 / psd_bins.size)
-        acpr_db = acpr(estimate, cfg.system.oversample)
+        acpr_db = acpr(psd_bins, cfg.system.oversample)
         obo_db = float(10.0 * np.log10(cfg.rf.total_power / mean_backed_total))
         rows.append((cfg.method.name, acpr_db, obo_db))
     return _write_finite(out, ACPR_OBO_HEADER, rows)

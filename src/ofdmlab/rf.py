@@ -1,8 +1,9 @@
 """Transmit RF front-end: band-pass filter, input back-off, RAPP amplifier.
 
 Also provides the Bussgang linearization gain and the spectral metrics
-ACPR (from a PSD estimate) and OBO. The filter, back-off and amplifier take
-one frame or a stack of frames; the Bussgang gain, ACPR and OBO take one.
+ACPR (from PSD bins) and OBO. Every stage takes plain complex arrays: the
+filter, back-off and amplifier one frame [A, N] or a stack [..., A, N];
+the Bussgang gain, ACPR and OBO one frame.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import PsdEstimate, Stage, TimeFrame, inband_start
+from .dsp import inband_start
 
 
 @dataclass(frozen=True)
@@ -42,49 +43,49 @@ class RappParams:
         return self.v * a * (1.0 + (self.v * a / self.a0) ** (2 * self.p)) ** (-1.0 / (2 * self.p))
 
 
-def bandpass_filter(frame: TimeFrame) -> TimeFrame:
-    """Zero every out-of-band bin; brick-wall response over the data band."""
-    if frame.stage not in (Stage.RAW, Stage.ENCODED):
-        raise ValueError(f"cannot band-pass filter a frame at stage {frame.stage}")
-    n = frame.n_samples
-    k = frame.n_inband
-    spectrum = np.fft.fftshift(np.fft.fft(frame.samples, axis=-1), axes=-1)
+def bandpass_filter(samples: np.ndarray, L: int) -> np.ndarray:
+    """Zero every out-of-band bin; brick-wall response over the data band.
+
+    The data band is the centre N // L bins of each [A, N] frame.
+    """
+    if L < 1:
+        raise ValueError("oversampling factor must be >= 1")
+    n = samples.shape[-1]
+    k = n // L
+    spectrum = np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)
     start = inband_start(n, k)
     mask = np.zeros(n)
     mask[start:start + k] = 1.0
-    filtered = np.fft.ifft(np.fft.ifftshift(spectrum * mask, axes=-1), axis=-1)
-    return frame.with_samples(filtered, stage=Stage.FILTERED)
+    return np.fft.ifft(np.fft.ifftshift(spectrum * mask, axes=-1), axis=-1)
 
 
-def apply_ibo(frame: TimeFrame, ibo_db: float, params: RappParams) -> TimeFrame:
+def apply_ibo(samples: np.ndarray, ibo_db: float, params: RappParams) -> np.ndarray:
     """Scale each frame so its mean power sits ``ibo_db`` below a0^2."""
-    power = frame.frame_power()
+    power = np.mean(np.abs(samples) ** 2, axis=(-2, -1), keepdims=True)
     if np.any(power == 0.0):
         raise ValueError("cannot back off an all-zero frame")
     target = params.a0 ** 2 / 10.0 ** (ibo_db / 10.0)
     scale = np.sqrt(target / power)
-    return frame.with_samples(frame.samples * scale, stage=Stage.BACKED_OFF)
+    return samples * scale
 
 
-def rapp_amplify(frame: TimeFrame, params: RappParams) -> TimeFrame:
+def rapp_amplify(samples: np.ndarray, params: RappParams) -> np.ndarray:
     """Apply the AM/AM response per sample; phase preserved.
 
     The complex gain is computed from |x|^2 directly, so the operation is
     smooth at the origin.
     """
-    power = np.abs(frame.samples) ** 2
+    power = np.abs(samples) ** 2
     gain = params.v * (1.0 + (params.v ** 2 * power / params.a0 ** 2) ** params.p) ** (-1.0 / (2 * params.p))
-    return frame.with_samples(frame.samples * gain, stage=Stage.AMPLIFIED)
+    return samples * gain
 
 
-def bussgang_alpha(filtered: TimeFrame, amplified: TimeFrame) -> complex:
+def bussgang_alpha(x_in: np.ndarray, x_out: np.ndarray) -> complex:
     """Least-squares complex gain alpha minimizing E|x_out - alpha * x_in|^2.
 
     Expectations are sample means over all antennas and samples. The residual
     x_out - alpha * x_in is uncorrelated with the input by construction.
     """
-    x_in = filtered.samples
-    x_out = amplified.samples
     if x_in.shape != x_out.shape:
         raise ValueError("input and output frames must have equal shapes")
     denom = np.mean(np.abs(x_in) ** 2)
@@ -94,8 +95,8 @@ def bussgang_alpha(filtered: TimeFrame, amplified: TimeFrame) -> complex:
     return complex(alpha)
 
 
-def acpr(psd: PsdEstimate, L: int) -> float:
-    """Adjacent-channel power ratio in dB from a shifted-spectrum PSD.
+def acpr(bin_power: np.ndarray, L: int) -> float:
+    """Adjacent-channel power ratio in dB from the bins of a shifted-spectrum PSD.
 
     The main channel is the centre ``n_bins // L`` bins; the adjacent
     channels are the equally wide bands immediately above and below it
@@ -104,20 +105,20 @@ def acpr(psd: PsdEstimate, L: int) -> float:
     """
     if L < 2:
         raise ValueError("adjacent bands require an oversampling factor >= 2")
-    n = psd.n_bins
+    n = bin_power.shape[-1]
     bw = n // L
     start = inband_start(n, bw)
-    main = psd.bin_power[start:start + bw].sum()
+    main = bin_power[start:start + bw].sum()
     if main <= 0.0:
         raise ValueError("main channel has no power")
-    lower = psd.bin_power[max(0, start - bw):start].sum()
-    upper = psd.bin_power[start + bw:min(n, start + 2 * bw)].sum()
+    lower = bin_power[max(0, start - bw):start].sum()
+    upper = bin_power[start + bw:min(n, start + 2 * bw)].sum()
     return float(10.0 * np.log10(max(upper, lower) / main))
 
 
-def obo(backed_off: TimeFrame, total_power: float) -> float:
-    """Output back-off in dB: budget over summed per-antenna mean powers."""
-    per_antenna = np.mean(np.abs(backed_off.samples) ** 2, axis=1)
+def obo(backed: np.ndarray, total_power: float) -> float:
+    """Output back-off in dB of one frame [A, N]: budget over summed per-antenna mean powers."""
+    per_antenna = np.mean(np.abs(backed) ** 2, axis=1)
     total = per_antenna.sum()
     if total == 0.0:
         raise ValueError("zero-power frame")

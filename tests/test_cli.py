@@ -69,6 +69,18 @@ BAD_INPUTS = {   # name -> (text replacements applied to BASE, words of the mess
     "ibo_4000": ([("amplifier = linear", "amplifier = rapp\nibo_db = 4000")], "ibo_db"),
     "ibo_400": ([("amplifier = linear", "amplifier = rapp\nibo_db = 400")], "ibo_db"),
     "ibo_below": ([("amplifier = linear", "amplifier = rapp\nibo_db = -10.5")], "ibo_db"),
+    # 1e-320 W wrote a PSD of -3000 dB; -4000 dB clipped every frame to zero,
+    # -400 dB ran to a BER at chance and 4000 dB overflowed the clip limit
+    "power_1e-320": ([("amplifier = linear", "amplifier = rapp\ntotal_power = 1e-320")],
+                     "total_power"),
+    "power_above": ([("amplifier = linear", "amplifier = rapp\ntotal_power = 2e6")],
+                    "total_power"),
+    "clip_-4000": ([("[rf]", "[method]\nname = cf\nclip_ratio_db = -4000\n[rf]")],
+                   "clip_ratio_db"),
+    "clip_-400": ([("[rf]", "[method]\nname = cf\nclip_ratio_db = -400\n[rf]")],
+                  "clip_ratio_db"),
+    "clip_4000": ([("[rf]", "[method]\nname = cf\nclip_ratio_db = 4000\n[rf]")],
+                  "clip_ratio_db"),
 }
 
 
@@ -170,10 +182,42 @@ class TestInputBackoffRange:
             TrainConfig(ibo_db=ibo_db)
 
 
+class TestPowerAndClipRanges:
+    @pytest.mark.parametrize("line", ["total_power = 1e-06", "total_power = 1000000.0",
+                                      "clip_ratio_db = -10.0", "clip_ratio_db = 30.0"])
+    @pytest.mark.parametrize("command", ["ber", "psd"])
+    def test_range_ends_run(self, tmp_path, line, command):
+        section = "[rf]" if line.startswith("total_power") else "[method]\nname = cf"
+        path = tmp_path / "edge.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp")
+                        + f"{section}\n{line}\n")
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", str(path), "--frames", "3", "--out", str(out)]) == 0
+        values = [float(v) for row in out.read_text().splitlines()[1:] for v in row.split(",")]
+        assert values and all(np.isfinite(values))
+
+    def test_train_refuses_total_power_out_of_range(self, tmp_path, capsys, monkeypatch):
+        _refuse_frames(monkeypatch)
+        out = tmp_path / "model.bin"
+        path = tmp_path / "train.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "total_power = 1e-320")
+                        + f"out = {out}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: total_power must lie within")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("total_power", [1e-320, 0.0, 2e6, float("nan")])
+    def test_train_config_refuses_total_power_out_of_range(self, total_power):
+        from ofdmlab.cae.training import TrainConfig
+        from ofdmlab.errors import ConfigError
+        with pytest.raises(ConfigError, match="total_power"):
+            TrainConfig(total_power=total_power)
+
+
 def _nan_amplifier(monkeypatch):
     import ofdmlab.harness as harness
-    monkeypatch.setattr(harness, "rapp_amplify",
-                        lambda frame, params: frame.with_samples(frame.samples * np.nan))
+    monkeypatch.setattr(harness, "rapp_amplify", lambda samples, params: samples * np.nan)
 
 
 class TestNonFiniteResults:

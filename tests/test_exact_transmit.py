@@ -1,10 +1,11 @@
 """The blocked transmit side against the per-frame code it replaces.
 
-The oracles below are verbatim copies of the earlier per-frame stages (the
-band-pass filter, clipping, input back-off, worst-antenna PAPR, periodogram
-and unpad, each on one [A, N] frame) and of the earlier per-frame
-``_FrameChain`` methods ``ccdf_frame``, ``psd_frame``, ``spectral_frame``
-and ``ber_frame`` built on them. Each stacked stage must match its oracle
+The oracles below are copies of the earlier per-frame stages (the band-pass
+filter, clipping, input back-off, worst-antenna PAPR, periodogram and unpad,
+each on one [A, N] frame) and of the earlier per-frame ``_FrameChain``
+methods ``ccdf_frame``, ``psd_frame``, ``spectral_frame`` and ``ber_frame``
+built on them. Their arithmetic is verbatim; they take and return plain
+arrays, as the stages now do. Each stacked stage must match its oracle
 frame by frame with ``array_equal``, and ``run_ccdf``, ``run_psd``,
 ``run_acpr_obo`` and ``run_ber`` must write the same CSV bytes as with the
 oracles patched in, for any block size and worker count.
@@ -17,13 +18,12 @@ import pytest
 
 from ofdmlab import baselines, harness
 from ofdmlab.autodiff import no_grad
-from ofdmlab.baselines import ClipConfig, clip_and_filter, clip_only, slm_encode
+from ofdmlab.baselines import clip_and_filter, clip_only, slm_encode
 from ofdmlab.cae import training
 from ofdmlab.cae.pipeline import build_system
 from ofdmlab.channel import apply_channel
 from ofdmlab.config import parse_config
-from ofdmlab.dsp import (PsdEstimate, Stage, TimeFrame, dft_unpad, estimate_psd,
-                         idft_oversampled, inband_start, papr_mimo)
+from ofdmlab.dsp import dft_unpad, estimate_psd, idft_oversampled, inband_start, papr_mimo
 from ofdmlab.harness import frame_rng, run_acpr_obo, run_ber, run_ccdf, run_psd
 from ofdmlab.modulation import OfdmGrid, symbols_to_bits
 from ofdmlab.rf import RappParams, apply_ibo, bandpass_filter, bussgang_alpha, rapp_amplify
@@ -31,43 +31,40 @@ from ofdmlab.rf import RappParams, apply_ibo, bandpass_filter, bussgang_alpha, r
 # -- oracles: the earlier per-frame stages, unchanged ------------------------------
 
 
-def bandpass_filter_ref(frame: TimeFrame) -> TimeFrame:
+def bandpass_filter_ref(samples: np.ndarray, L: int) -> np.ndarray:
     """Zero every out-of-band bin; brick-wall response over the data band."""
-    if frame.stage not in (Stage.RAW, Stage.ENCODED):
-        raise ValueError(f"cannot band-pass filter a frame at stage {frame.stage}")
-    n = frame.n_samples
-    k = frame.n_inband
-    spectrum = np.fft.fftshift(np.fft.fft(frame.samples, axis=1), axes=1)
+    n = samples.shape[1]
+    k = n // L
+    spectrum = np.fft.fftshift(np.fft.fft(samples, axis=1), axes=1)
     start = inband_start(n, k)
     mask = np.zeros(n)
     mask[start:start + k] = 1.0
-    filtered = np.fft.ifft(np.fft.ifftshift(spectrum * mask, axes=1), axis=1)
-    return frame.with_samples(filtered, stage=Stage.FILTERED)
+    return np.fft.ifft(np.fft.ifftshift(spectrum * mask, axes=1), axis=1)
 
 
-def clip_only_ref(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
+def clip_only_ref(samples: np.ndarray, clip_ratio_db: float) -> np.ndarray:
     """Hard-limit the envelope at rms * 10^(ratio/20); phase preserved."""
-    power = float(np.mean(np.abs(frame.samples) ** 2))
+    power = float(np.mean(np.abs(samples) ** 2))
     if power == 0.0:
         raise ValueError("cannot clip an all-zero frame")
-    limit = np.sqrt(power) * 10.0 ** (cfg.clip_ratio_db / 20.0)
-    magnitude = np.abs(frame.samples)
+    limit = np.sqrt(power) * 10.0 ** (clip_ratio_db / 20.0)
+    magnitude = np.abs(samples)
     scale = np.where(magnitude > limit, limit / np.maximum(magnitude, 1e-300), 1.0)
-    return frame.with_samples(frame.samples * scale)
+    return samples * scale
 
 
-def clip_and_filter_ref(frame: TimeFrame, cfg: ClipConfig) -> TimeFrame:
-    return bandpass_filter_ref(clip_only_ref(frame, cfg))
+def clip_and_filter_ref(samples: np.ndarray, clip_ratio_db: float, L: int) -> np.ndarray:
+    return bandpass_filter_ref(clip_only_ref(samples, clip_ratio_db), L)
 
 
-def apply_ibo_ref(frame: TimeFrame, ibo_db: float, params: RappParams) -> TimeFrame:
+def apply_ibo_ref(samples: np.ndarray, ibo_db: float, params: RappParams) -> np.ndarray:
     """Scale a frame so its mean power sits ``ibo_db`` below a0^2."""
-    power = float(np.mean(np.abs(frame.samples) ** 2))
+    power = float(np.mean(np.abs(samples) ** 2))
     if power == 0.0:
         raise ValueError("cannot back off an all-zero frame")
     target = params.a0 ** 2 / 10.0 ** (ibo_db / 10.0)
     scale = np.sqrt(target / power)
-    return frame.with_samples(frame.samples * scale, stage=Stage.BACKED_OFF)
+    return samples * scale
 
 
 def papr_ref(samples: np.ndarray) -> float:
@@ -82,25 +79,24 @@ def papr_ref(samples: np.ndarray) -> float:
     return float(power.max() / mean)
 
 
-def papr_mimo_ref(frame: TimeFrame) -> float:
+def papr_mimo_ref(samples: np.ndarray) -> float:
     """Worst-antenna PAPR of a MIMO frame, linear units."""
-    return max(papr_ref(row) for row in frame.samples)
+    return max(papr_ref(row) for row in samples)
 
 
-def estimate_psd_ref(frame: TimeFrame) -> PsdEstimate:
+def estimate_psd_ref(samples: np.ndarray) -> np.ndarray:
     """Rectangular-window periodogram of each antenna row, averaged over rows."""
-    n = frame.n_samples
-    spectrum = np.fft.fftshift(np.fft.fft(frame.samples, axis=1), axes=1)
-    bin_power = (np.abs(spectrum) ** 2 / n ** 2).mean(axis=0)
-    return PsdEstimate(bin_power, 1.0 / n)
+    n = samples.shape[1]
+    spectrum = np.fft.fftshift(np.fft.fft(samples, axis=1), axes=1)
+    return (np.abs(spectrum) ** 2 / n ** 2).mean(axis=0)
 
 
-def dft_unpad_ref(frame: TimeFrame, n_inband: int) -> np.ndarray:
+def dft_unpad_ref(samples: np.ndarray, n_inband: int) -> np.ndarray:
     """Forward transform a frame and keep only the centre data bins."""
-    n = frame.n_samples
+    n = samples.shape[1]
     if n % n_inband != 0:
         raise ValueError("frame length must be divisible by the data bin count")
-    spectrum = np.fft.fftshift(np.fft.fft(frame.samples, axis=1), axes=1)
+    spectrum = np.fft.fftshift(np.fft.fft(samples, axis=1), axes=1)
     start = inband_start(n, n_inband)
     return spectrum[:, start:start + n_inband] * (np.sqrt(n_inband) / n)
 
@@ -115,30 +111,27 @@ def filtered_frame_ref(chain, grid: OfdmGrid):
     if cfg.method.name == "cae":
         with no_grad():
             stages = chain.system.transmit(grid.symbols[None], train=False)
-        return TimeFrame(stages["filtered"].values()[0], oversample, Stage.FILTERED), None
+        return stages["filtered"].values()[0], None
     if cfg.method.name == "slm":
         frame, index = slm_encode(grid, chain.book, oversample)
-        return bandpass_filter_ref(frame), chain.book.phases[index]
-    raw = idft_oversampled(grid, oversample)
+        return bandpass_filter_ref(frame, oversample), chain.book.phases[index]
+    raw = idft_oversampled(grid.symbols, oversample)
     if cfg.method.name == "cf":
-        clip = ClipConfig(cfg.method.clip_ratio_db)
-        return clip_and_filter_ref(raw, clip), None
-    return bandpass_filter_ref(raw), None
+        return clip_and_filter_ref(raw, cfg.method.clip_ratio_db, oversample), None
+    return bandpass_filter_ref(raw, oversample), None
 
 
-def drawn_filtered_ref(chain, frame_index: int) -> TimeFrame:
+def drawn_filtered_ref(chain, frame_index: int) -> np.ndarray:
     s = chain.cfg.system
     rng = frame_rng(chain.cfg.run.seed, frame_index, 0)
     grid = OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
     return filtered_frame_ref(chain, grid)[0]
 
 
-def amplified_ref(chain, filtered: TimeFrame):
+def amplified_ref(chain, filtered: np.ndarray):
     """IBO + amplifier; returns (backed_off, amplified, bussgang gain)."""
     if chain.cfg.rf.amplifier == "linear":
-        backed = filtered.with_samples(filtered.samples, stage=Stage.BACKED_OFF)
-        amplified = filtered.with_samples(filtered.samples, stage=Stage.AMPLIFIED)
-        return backed, amplified, 1.0 + 0.0j
+        return filtered, filtered, 1.0 + 0.0j
     backed = apply_ibo_ref(filtered, chain.cfg.rf.ibo_db, chain.params)
     amplified = rapp_amplify(backed, chain.params)
     alpha = bussgang_alpha(filtered, amplified)
@@ -171,16 +164,14 @@ def ccdf_frame_ref(chain, frame_index: int) -> float:
 def psd_frame_ref(chain, frame_index: int):
     """PSD bins of the amplified frame and of its linear reference."""
     backed, amplified, _ = amplified_ref(chain, drawn_filtered_ref(chain, frame_index))
-    reference = backed.with_samples(backed.samples, stage=Stage.AMPLIFIED)
-    return (estimate_psd_ref(amplified).bin_power,
-            estimate_psd_ref(reference).bin_power)
+    return estimate_psd_ref(amplified), estimate_psd_ref(backed)
 
 
 def spectral_frame_ref(chain, frame_index: int):
     """PSD bins of the amplified frame plus the backed-off antenna power sum."""
     backed, amplified, _ = amplified_ref(chain, drawn_filtered_ref(chain, frame_index))
-    per_antenna_total = float(np.sum(np.mean(np.abs(backed.samples) ** 2, axis=1)))
-    return estimate_psd_ref(amplified).bin_power, per_antenna_total
+    per_antenna_total = float(np.sum(np.mean(np.abs(backed) ** 2, axis=1)))
+    return estimate_psd_ref(amplified), per_antenna_total
 
 
 # The oracle chain methods, as block methods that loop over their frames.
@@ -216,8 +207,8 @@ def golden_block(n_frames=37, n_tx=2, k=72, oversample=4, seed=3):
     return idft_oversampled(np.stack(grids), oversample)
 
 
-def frames_of(block: TimeFrame):
-    return [TimeFrame(row, block.L, block.stage) for row in block.samples]
+def frames_of(block: np.ndarray):
+    return list(block)
 
 
 def assert_rows_equal(stacked: np.ndarray, per_frame: list):
@@ -230,53 +221,49 @@ def assert_rows_equal(stacked: np.ndarray, per_frame: list):
 class TestStackedStages:
     def test_bandpass_filter(self, n_tx, k, oversample):
         block = golden_block(n_tx=n_tx, k=k, oversample=oversample)
-        assert_rows_equal(bandpass_filter(block).samples,
-                          [bandpass_filter_ref(f).samples for f in frames_of(block)])
+        assert_rows_equal(bandpass_filter(block, oversample),
+                          [bandpass_filter_ref(f, oversample) for f in frames_of(block)])
 
     @pytest.mark.parametrize("ratio_db", [0.0, 4.08])
     def test_clip(self, n_tx, k, oversample, ratio_db):
         block = golden_block(n_tx=n_tx, k=k, oversample=oversample)
-        clip = ClipConfig(ratio_db)
-        assert_rows_equal(clip_only(block, clip).samples,
-                          [clip_only_ref(f, clip).samples for f in frames_of(block)])
-        assert_rows_equal(clip_and_filter(block, clip).samples,
-                          [clip_and_filter_ref(f, clip).samples for f in frames_of(block)])
+        assert_rows_equal(clip_only(block, ratio_db),
+                          [clip_only_ref(f, ratio_db) for f in frames_of(block)])
+        assert_rows_equal(clip_and_filter(block, ratio_db, oversample),
+                          [clip_and_filter_ref(f, ratio_db, oversample) for f in frames_of(block)])
 
     @pytest.mark.parametrize("ibo_db", [-3.0, 9.0])
     def test_ibo_and_rapp(self, n_tx, k, oversample, ibo_db):
-        block = bandpass_filter(golden_block(n_tx=n_tx, k=k, oversample=oversample))
+        block = bandpass_filter(golden_block(n_tx=n_tx, k=k, oversample=oversample), oversample)
         params = RappParams.from_power_budget(1.0, n_tx)
         backed = apply_ibo(block, ibo_db, params)
-        assert_rows_equal(backed.samples,
-                          [apply_ibo_ref(f, ibo_db, params).samples for f in frames_of(block)])
-        assert_rows_equal(rapp_amplify(backed, params).samples,
-                          [rapp_amplify(f, params).samples for f in frames_of(backed)])
+        assert_rows_equal(backed,
+                          [apply_ibo_ref(f, ibo_db, params) for f in frames_of(block)])
+        assert_rows_equal(rapp_amplify(backed, params),
+                          [rapp_amplify(f, params) for f in frames_of(backed)])
 
     def test_papr_psd_unpad(self, n_tx, k, oversample):
         block = golden_block(n_tx=n_tx, k=k, oversample=oversample)
         frames = frames_of(block)
         assert_rows_equal(papr_mimo(block), [papr_mimo_ref(f) for f in frames])
-        assert_rows_equal(estimate_psd(block).bin_power,
-                          [estimate_psd_ref(f).bin_power for f in frames])
+        assert_rows_equal(estimate_psd(block), [estimate_psd_ref(f) for f in frames])
         assert_rows_equal(dft_unpad(block, k), [dft_unpad_ref(f, k) for f in frames])
 
     def test_one_frame_keeps_its_types(self, n_tx, k, oversample):
         frame = frames_of(golden_block(n_frames=1, n_tx=n_tx, k=k, oversample=oversample))[0]
         assert isinstance(papr_mimo(frame), float)
         assert papr_mimo(frame) == papr_mimo_ref(frame)
-        assert estimate_psd(frame).bin_power.shape == (frame.n_samples,)
+        assert estimate_psd(frame).shape == (frame.shape[-1],)
 
 
 def test_zero_frame_in_a_block_is_refused():
-    block = golden_block(n_frames=4)
-    samples = block.samples.copy()
-    samples[2] = 0.0
-    zeroed = block.with_samples(samples)
+    zeroed = golden_block(n_frames=4)
+    zeroed[2] = 0.0
     params = RappParams.from_power_budget(1.0, 2)
     with pytest.raises(ValueError, match="all-zero"):
         apply_ibo(zeroed, 3.0, params)
     with pytest.raises(ValueError, match="all-zero"):
-        clip_only(zeroed, ClipConfig())
+        clip_only(zeroed, 4.08)
     with pytest.raises(ValueError, match="all-zero"):
         papr_mimo(zeroed)
 
@@ -287,7 +274,7 @@ def test_slm_winners_match_per_frame_encoding():
     filtered, phases = chain.filtered_block(grids)
     for f, grid in enumerate(grids):
         frame, index = baselines.slm_encode(grid, chain.book, 4)
-        assert np.array_equal(filtered.samples[f], bandpass_filter_ref(frame).samples)
+        assert np.array_equal(filtered[f], bandpass_filter_ref(frame, 4))
         assert np.array_equal(phases[f], chain.book.phases[index])
 
 

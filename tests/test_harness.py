@@ -8,7 +8,7 @@ import pytest
 from ofdmlab.config import (ExperimentConfig, MethodConfig, RunConfig,
                             SystemConfig, load_config, parse_config,
                             serialize_config, with_overrides)
-from ofdmlab.errors import ConfigError
+from ofdmlab.errors import ConfigError, NumericError
 from ofdmlab.harness import frame_rng, run_acpr_obo, run_ber, run_ccdf, run_psd
 
 
@@ -160,6 +160,18 @@ class TestRunBer:
         header, row = text.strip().split("\n")
         assert header == "p_snr_db,ber,bit_count,stderr"
         assert len(row.split(",")) == 4
+
+    @pytest.mark.parametrize("detector", ["mle", "zf"])
+    def test_non_finite_received_signal_refused(self, detector, tmp_path, monkeypatch):
+        import ofdmlab.harness as harness
+        monkeypatch.setattr(harness, "apply_channel",
+                            lambda x, chan, rng: np.full((x.shape[0], chan.n_rx), np.nan + 0j))
+        out = tmp_path / "ber.csv"
+        cfg = make_cfg(run={"frames": 3, "p_snr_db": (10.0,), "out": str(out)},
+                       detector=detector)
+        with pytest.raises(NumericError, match="received signal is not finite"):
+            run_ber(cfg)
+        assert not out.exists()
 
     def test_ber_nonincreasing_in_snr(self):
         # detection only improves with peak SNR (within Monte Carlo noise)

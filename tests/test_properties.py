@@ -104,3 +104,61 @@ def test_train_text_builds_config_or_config_error(lines):
     assert isinstance(built, training.TrainConfig)
     for name in TRAIN_KEYS:
         assert repr(getattr(built, name)) == repr(getattr(cfg.train, name))
+
+
+# -- command-line fuzzing ------------------------------------------------------
+
+TINY_CONFIG = ("[system]\nn_tx = 2\nn_rx = 2\nn_subcarriers = 16\noversample = 4\n"
+               "mod_order = 4\n[rf]\nibo_db = 9.0\n[run]\nframes = 5\np_snr_db = 10\n"
+               "out = default.csv\n[train]\nepochs = 1\ngradual_start_epoch = 1\n"
+               "batches_per_epoch = 1\nbatch_size = 2\ndecoder_iterations = 2\n")
+SUBCOMMANDS = ["train", "ber", "ccdf", "psd", "acpr-obo", "gradcheck"]
+# Option values are small and relative to the run's own directory; free tokens
+# hold no digits, so no abbreviation of --frames or --workers can ask for a
+# large run.
+CONFIG_GROUPS = st.sampled_from([
+    ["--config", "tiny.cfg"], ["--config", "tiny.cfg"], ["--config", "tiny.cfg", "tiny.cfg"],
+    ["--config", "missing.cfg"], ["--config", "bad.cfg"], ["--config", "."], []])
+OPTION_GROUPS = st.one_of(
+    CONFIG_GROUPS,
+    st.sampled_from(["0", "7", "-1", str(2 ** 128), "x"]).map(lambda v: ["--seed", v]),
+    st.sampled_from(["-1", "0", "1", "2", "100", "abc"]).map(lambda v: ["--frames", v]),
+    st.sampled_from(["0", "1", "2", "-2", "many"]).map(lambda v: ["--workers", v]),
+    st.sampled_from(["out.csv", "nowhere/out.csv", "."]).map(lambda v: ["--out", v]),
+    st.just(["-h"]),
+    st.text(alphabet="abcfhow-=_", max_size=6).map(lambda v: [v]),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(command=st.sampled_from(SUBCOMMANDS), config=CONFIG_GROUPS,
+       groups=st.lists(OPTION_GROUPS, max_size=4))
+def test_cli_exits_with_a_documented_code(tmp_path_factory, command, config, groups):
+    """Any argv: exit 0, 1 or 2; exits 1 and 2 print exactly one line; no traceback."""
+    import contextlib
+    import io
+    import os
+
+    from ofdmlab.cli import main
+
+    argv = [command] + config + [token for group in groups for token in group]
+    run_dir = tmp_path_factory.mktemp("argv")
+    (run_dir / "tiny.cfg").write_text(TINY_CONFIG)
+    (run_dir / "bad.cfg").write_text("[system]\nn_tx = 2\nn_rx = 2\nwat = 1\n")
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(run_dir)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:       # -h prints the help and exits 0
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), argv
+    if code:
+        prefix = "config error: " if code == 1 else "numeric error: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), (argv, lines)
+    assert "Traceback" not in out.getvalue() + err.getvalue(), argv
