@@ -15,7 +15,7 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import ExperimentConfig, load_config, with_overrides
+from .config import ExperimentConfig, check_seed, load_config, with_overrides
 from .errors import ConfigError, NumericError
 
 
@@ -166,6 +166,7 @@ def _cmd_acpr_obo(args) -> int:
 
 def _cmd_gradcheck(args) -> int:
     from .harness import run_gradcheck
+    check_seed(args.seed)
     results, ok = run_gradcheck(seed=args.seed)
     for r in results:
         status = "pass" if r.passed else "FAIL"

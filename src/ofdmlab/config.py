@@ -37,6 +37,12 @@ def check_range(name: str, value: float, bounds: tuple[float, float], unit: str 
         raise ConfigError(f"{name} must lie within [{low:g}, {high:g}]{unit}, got {value!r}")
 
 
+def check_seed(seed: int) -> None:
+    """ConfigError unless ``seed`` lies in [0, 2**128), the keys Philox takes."""
+    if not 0 <= seed < 2 ** 128:
+        raise ConfigError("seed must be in [0, 2**128)")
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
     items = [t.strip() for t in text.split(",") if t.strip()]
     return tuple(float(t) for t in items)
@@ -172,8 +178,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if (self.detector == "cae") != (self.method.name == "cae"):
             raise ConfigError("the cae detector pairs exactly with the cae method")
-        if not 0 <= self.run.seed < 2 ** 128:
-            raise ConfigError("seed must be in [0, 2**128)")
+        check_seed(self.run.seed)
         if self.run.frames < 1:
             raise ConfigError("frames must be >= 1")
         if not all(math.isfinite(p) for p in self.run.p_snr_db):

@@ -272,6 +272,18 @@ class TestBoundaryFaults:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: seed must be in [0, 2**128)"]
 
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    def test_gradcheck_seed_out_of_range(self, seed, capsys, monkeypatch):
+        import ofdmlab.harness as harness
+
+        def no_checks(seed=0):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(harness, "run_gradcheck", no_checks)
+        assert main(["gradcheck", "--seed", seed]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: seed must be in [0, 2**128)"]
+
     def test_largest_seed_runs(self, cfg_file, tmp_path):
         out = tmp_path / "ccdf.csv"
         assert main(["ccdf", "--config", str(cfg_file), "--frames", "100",

@@ -1,7 +1,10 @@
 """Property tests: BER, CCDF, PSD and ACPR-OBO output does not depend on how
-the frames are split, and any [train] text either builds a training config
-or is a ConfigError."""
+the frames are split, any [train] text either builds a training config or is
+a ConfigError, and any command line ends in a documented exit code."""
 
+import contextlib
+import io
+import os
 from dataclasses import fields, replace
 
 import pytest
@@ -12,7 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 from ofdmlab import harness  # noqa: E402
 from ofdmlab.cae import training  # noqa: E402
 from ofdmlab.cae.pipeline import build_system  # noqa: E402
-from ofdmlab.cli import train_config  # noqa: E402
+from ofdmlab.cli import main, train_config  # noqa: E402
 from ofdmlab.config import TrainSection, parse_config  # noqa: E402
 from ofdmlab.errors import ConfigError  # noqa: E402
 
@@ -135,12 +138,6 @@ OPTION_GROUPS = st.one_of(
        groups=st.lists(OPTION_GROUPS, max_size=4))
 def test_cli_exits_with_a_documented_code(tmp_path_factory, command, config, groups):
     """Any argv: exit 0, 1 or 2; exits 1 and 2 print exactly one line; no traceback."""
-    import contextlib
-    import io
-    import os
-
-    from ofdmlab.cli import main
-
     argv = [command] + config + [token for group in groups for token in group]
     run_dir = tmp_path_factory.mktemp("argv")
     (run_dir / "tiny.cfg").write_text(TINY_CONFIG)
