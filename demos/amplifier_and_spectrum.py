@@ -29,7 +29,7 @@ for ibo_db in (3.0, 6.0, 9.0, 12.0):
     backed = apply_ibo(filtered, ibo_db, params)
     hot = rapp_amplify(backed, params)
     a = acpr(estimate_psd(hot), 4)
-    o = obo(backed, 1.0)
+    o = obo(np.mean(np.abs(backed) ** 2, axis=-1), 1.0)
     print(f"  {ibo_db:4.1f}  {a:8.2f} dB  {o:6.2f} dB")
 print("\nbacking off buys spectral purity and costs radiated power,")
 print("which is exactly the trade the trained encoder negotiates.")

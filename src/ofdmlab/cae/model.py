@@ -17,13 +17,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..autodiff import (ACTIVATIONS, BatchNorm, DiffTensor, as_tensor, concat,
-                        conv2d, linear, matmul, parameter, reshape, softmax_values,
-                        transpose, tsum)
+                        conv2d, linear, matmul, parameter, reshape, transpose, tsum)
 from ..modulation import pam_levels
-from .complexpair import CPair, rows_to_vectors, vectors_to_rows
+from .complexpair import CPair, cp_const, rows_to_vectors, vectors_to_rows
 
 ENCODER_CHANNELS = (21, 15, 21)
 DECODER_CHANNELS = (15, 21)
+
+
+def left_matmul(m: CPair, x: CPair) -> CPair:
+    """``m @ x`` on the tape for a constant complex matrix stack ``m`` from :func:`cp_const`."""
+    return CPair(matmul(m.re, x.re) - matmul(m.im, x.im),
+                 matmul(m.re, x.im) + matmul(m.im, x.re))
 
 
 def _uniform_init(rng: np.random.Generator, shape, fan_in: int, scale: float = 1.0):
@@ -135,46 +140,34 @@ class DecoderNet:
             self.delta1.append(parameter(1.0))
             self.delta2.append(parameter(-1.0))
 
-    def initial_estimate(self, rng: np.random.Generator, n_batch: int) -> DiffTensor:
-        """Random starting point; an all-zero start degrades convergence."""
+    def initial_estimate(self, rng: np.random.Generator, n_batch: int) -> np.ndarray:
+        """Random starting point [B, n_tx, 2K]; an all-zero start degrades convergence."""
         width = 2 * self.n_subcarriers
-        return as_tensor(rng.uniform(-1.0, 1.0, size=(n_batch, self.n_tx, width)))
+        return rng.uniform(-1.0, 1.0, size=(n_batch, self.n_tx, width))
 
-    def forward(self, h: np.ndarray, y: CPair, rng: np.random.Generator | None,
-                train: bool, start: np.ndarray | None = None) -> DiffTensor:
+    def forward(self, h: np.ndarray, y: CPair, start: np.ndarray, train: bool) -> DiffTensor:
         """Detect from per-subcarrier observations.
 
         ``h`` is the constant channel tensor [B, K, n_rx, n_tx]; ``y`` holds
-        the (already gain-compensated) observations as [B, K, n_rx, 1] pairs.
-        ``start`` [B, n_tx, 2K] replaces the starting point drawn from
-        ``rng`` (a caller that draws it per example passes it in).
-        Returns logits [B, n_tx, 2K, n_levels].
+        the (already gain-compensated) observations as [B, K, n_rx, 1] pairs;
+        ``start`` [B, n_tx, 2K] is the starting point, drawn by
+        :meth:`initial_estimate`. Returns logits [B, n_tx, 2K, n_levels].
         """
         n_batch, k = h.shape[0], h.shape[1]
         if k != self.n_subcarriers or h.shape[2] != self.n_rx or h.shape[3] != self.n_tx:
             raise ValueError("channel tensor does not match the decoder layout")
-        hh = np.conj(np.swapaxes(h, -1, -2))          # H^H
-        hhh = np.einsum("bkij,bkjl->bkil", hh, h)      # H^H H
-        hh_r, hh_i = hh.real.copy(), hh.imag.copy()
-        hhh_r, hhh_i = hhh.real.copy(), hhh.imag.copy()
+        hh = np.conj(np.swapaxes(h, -1, -2))                 # H^H
+        hhh = cp_const(np.einsum("bkij,bkjl->bkil", hh, h))   # H^H H, split once
 
         # matched observation feature, shared across iterations
-        hy = CPair(
-            matmul(as_tensor(hh_r), y.re) - matmul(as_tensor(hh_i), y.im),
-            matmul(as_tensor(hh_r), y.im) + matmul(as_tensor(hh_i), y.re),
-        )
-        hy_rows_re = reshape(hy.re, (n_batch, k, self.n_tx))
-        hy_rows_im = reshape(hy.im, (n_batch, k, self.n_tx))
-        hy_rows = vectors_to_rows(CPair(hy_rows_re, hy_rows_im))
+        hy = left_matmul(cp_const(hh), y)
+        hy_rows = vectors_to_rows(CPair(reshape(hy.re, (n_batch, k, self.n_tx)),
+                                        reshape(hy.im, (n_batch, k, self.n_tx))))
 
-        estimate = self.initial_estimate(rng, n_batch) if start is None else as_tensor(start)
+        estimate = as_tensor(start)
         logits = None
         for it in range(self.iterations):
-            est_vec = self._rows_to_matvec(estimate)
-            hhx = CPair(
-                matmul(as_tensor(hhh_r), est_vec.re) - matmul(as_tensor(hhh_i), est_vec.im),
-                matmul(as_tensor(hhh_r), est_vec.im) + matmul(as_tensor(hhh_i), est_vec.re),
-            )
+            hhx = left_matmul(hhh, self._rows_to_matvec(estimate))
             hhx_rows = vectors_to_rows(CPair(
                 reshape(hhx.re, (n_batch, k, self.n_tx)),
                 reshape(hhx.im, (n_batch, k, self.n_tx)),
@@ -240,7 +233,3 @@ def hard_decisions(logits_values: np.ndarray, mod_order: int) -> np.ndarray:
     idx = np.argmax(logits_values, axis=-1)
     k = idx.shape[2] // 2
     return levels[idx[:, :, :k]] + 1j * levels[idx[:, :, k:]]
-
-
-def probabilities(logits_values: np.ndarray) -> np.ndarray:
-    return softmax_values(logits_values)

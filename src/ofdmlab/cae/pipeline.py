@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..autodiff import DiffTensor, as_tensor, matmul, reshape, tmean, transpose
+from ..autodiff import DiffTensor, as_tensor, no_grad, reshape, tmean, transpose
 from ..dsp import idft_oversampled
 from ..modulation import pam_levels, symbols_to_level_indices
 from ..rf import RappParams
-from .complexpair import (CPair, DftBank, complexify_tensor, cp_abs2,
+from .complexpair import (CPair, DftBank, complexify_tensor, cp_abs2, cp_const,
                           cp_mul_complex, cp_scale, cp_transform)
 from .losses import loss_acpr, loss_papr, loss_reconstruction
-from .model import DecoderNet, EncoderNet, hard_decisions, probabilities
+from .model import DecoderNet, EncoderNet, hard_decisions, left_matmul
 
 
 def tape_bandpass(frame: CPair, bank: DftBank) -> CPair:
@@ -70,16 +70,6 @@ class BatchResult:
     l2b: DiffTensor
     l3: DiffTensor
     alpha: np.ndarray
-    encoded: CPair
-    filtered: CPair
-    backed_off: CPair
-    amplified: CPair
-
-    def hard_symbols(self, mod_order: int) -> np.ndarray:
-        return hard_decisions(self.logits.values, mod_order)
-
-    def probabilities(self) -> np.ndarray:
-        return probabilities(self.logits.values)
 
 
 @dataclass
@@ -114,7 +104,7 @@ class CaeSystem:
         return {**self.encoder.buffers(), **self.decoder.buffers()}
 
     def transmit(self, grids: np.ndarray, train: bool) -> dict:
-        """Run the transmit side; returns every pipeline stage as tape pairs."""
+        """Run the transmit side; returns the encoded, filtered and amplified tape pairs."""
         n_batch = grids.shape[0]
         raw = idft_oversampled(grids, self.oversample)
         enc_in = np.concatenate([raw.real, raw.imag], axis=2)
@@ -122,29 +112,20 @@ class CaeSystem:
         encoded_rows = self.encoder.forward(enc_in, train)
         encoded = complexify_tensor(encoded_rows, axis=2)
         filtered = tape_bandpass(encoded, self.bank)
-        backed_off = tape_input_backoff(filtered, self.ibo_db, self.rapp)
-        amplified = tape_rapp(backed_off, self.rapp)
-        return {
-            "raw": raw,
-            "encoded": encoded,
-            "filtered": filtered,
-            "backed_off": backed_off,
-            "amplified": amplified,
-        }
+        amplified = tape_rapp(tape_input_backoff(filtered, self.ibo_db, self.rapp), self.rapp)
+        return {"encoded": encoded, "filtered": filtered, "amplified": amplified}
 
     def receive(self, amplified: CPair, filtered: CPair, h: np.ndarray,
-                noise: np.ndarray, rng: np.random.Generator | None, train: bool,
-                alpha_per_example: bool,
-                alpha_override: np.ndarray | None = None,
-                start: np.ndarray | None = None) -> tuple[DiffTensor, np.ndarray]:
+                noise: np.ndarray, start: np.ndarray, train: bool,
+                alpha_override: np.ndarray | None = None) -> tuple[DiffTensor, np.ndarray]:
         """Channel, gain compensation, and decoding; returns logits and alpha.
 
         ``h`` is [B, K, n_rx, n_tx] and ``noise`` is [B, K, n_rx]; noise is
         added before the gain compensation, exactly as a receiver would see
-        it. The gain estimate never carries gradients; ``alpha_override``
-        pins it to a fixed value (used by the finite-difference oracle).
-        ``start`` is the decoder's starting point, drawn from ``rng`` when
-        not given.
+        it. The gain estimate never carries gradients: one per batch in
+        training, one per example otherwise. ``alpha_override`` pins it to a
+        fixed value (used by the finite-difference oracle). ``start`` is the
+        decoder's starting point.
         """
         n_batch, k = h.shape[0], h.shape[1]
         x_freq = tape_unpad(amplified, self.bank)              # [B, A, K]
@@ -152,40 +133,39 @@ class CaeSystem:
             reshape(transpose(x_freq.re, (0, 2, 1)), (n_batch, k, self.n_tx, 1)),
             reshape(transpose(x_freq.im, (0, 2, 1)), (n_batch, k, self.n_tx, 1)),
         )
-        hr, hi = as_tensor(h.real.copy()), as_tensor(h.imag.copy())
-        y = CPair(
-            matmul(hr, x_vec.re) - matmul(hi, x_vec.im)
-            + noise.real.reshape(n_batch, k, -1, 1),
-            matmul(hr, x_vec.im) + matmul(hi, x_vec.re)
-            + noise.imag.reshape(n_batch, k, -1, 1),
-        )
+        hx = left_matmul(cp_const(h), x_vec)
+        y = CPair(hx.re + noise.real.reshape(n_batch, k, -1, 1),
+                  hx.im + noise.imag.reshape(n_batch, k, -1, 1))
         if alpha_override is not None:
             alpha = np.asarray(alpha_override, dtype=np.complex128).reshape(-1, 1, 1)
         else:
-            alpha = empirical_bussgang(filtered.values(), amplified.values(), alpha_per_example)
+            alpha = empirical_bussgang(filtered.values(), amplified.values(), not train)
         inv_alpha = (np.conj(alpha) / np.abs(alpha) ** 2).reshape(-1, 1, 1, 1)
         y_comp = cp_mul_complex(y, inv_alpha)
-        logits = self.decoder.forward(h, y_comp, rng, train, start)
+        logits = self.decoder.forward(h, y_comp, start, train)
         return logits, alpha
 
     def run_batch(self, grids: np.ndarray, h: np.ndarray, noise: np.ndarray,
                   rng: np.random.Generator, train: bool,
-                  alpha_per_example: bool | None = None,
                   alpha_override: np.ndarray | None = None) -> BatchResult:
-        """Full forward pass with all four loss components."""
-        if alpha_per_example is None:
-            alpha_per_example = not train
+        """Full forward pass with all four loss components; the decoder starts from ``rng``."""
+        start = self.decoder.initial_estimate(rng, grids.shape[0])
         stages = self.transmit(grids, train)
         logits, alpha = self.receive(stages["amplified"], stages["filtered"],
-                                     h, noise, rng, train, alpha_per_example,
-                                     alpha_override)
-        targets = self.targets_for(grids)
-        l1 = loss_reconstruction(logits, targets)
+                                     h, noise, start, train, alpha_override)
+        l1 = loss_reconstruction(logits, self.targets_for(grids))
         l2a, l2b = loss_papr(stages["encoded"], stages["filtered"])
         l3 = loss_acpr(stages["amplified"], self.bank, self.acpr_req_db)
-        return BatchResult(logits, l1, l2a, l2b, l3, alpha,
-                           stages["encoded"], stages["filtered"],
-                           stages["backed_off"], stages["amplified"])
+        return BatchResult(logits, l1, l2a, l2b, l3, alpha)
+
+    def detect(self, grids: np.ndarray, h: np.ndarray, noise: np.ndarray,
+               start: np.ndarray) -> np.ndarray:
+        """Inference through the same link: hard symbols [B, n_tx, K], no tape kept."""
+        with no_grad():
+            stages = self.transmit(grids, train=False)
+            logits, _ = self.receive(stages["amplified"], stages["filtered"],
+                                     h, noise, start, train=False)
+        return hard_decisions(logits.values, self.mod_order)
 
     def targets_for(self, grids: np.ndarray) -> np.ndarray:
         """Per-position level indices [B, n_tx, 2K]: real block then imag block."""

@@ -15,15 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from ..autodiff import AdamW, no_grad
+from ..autodiff import AdamW
 from ..autodiff.checkpoint import load_tensors, save_tensors
 from ..channel import Awgn, MultipathTaps, draw_channel, noise_variance_for_psnr
 from ..config import IBO_RANGE_DB, TOTAL_POWER_RANGE, TrainSection, check_range
 from ..csvio import write_csv
 from ..errors import ConfigError, NumericError
-from ..modulation import qam_alphabet, symbols_to_bits
+from ..modulation import bit_errors, qam_alphabet
 from .losses import LagrangianState, total_loss, update_multipliers
-from .model import hard_decisions
 from .pipeline import CaeSystem, build_system
 
 LOG_HEADER = ["epoch", "l1", "l2a", "l2b", "l3",
@@ -111,13 +110,11 @@ def build_from_config(cfg: TrainConfig) -> CaeSystem:
                         init_scale=cfg.init_scale, seed=cfg.seed)
 
 
-def train(cfg: TrainConfig, data=None, checkpoint_path=None, log_path=None,
+def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
           progress=None) -> TrainResult:
-    """Run the two-stage loop; optionally stream batches from ``data``.
+    """Run the two-stage loop on batches drawn from the run seed.
 
-    ``data`` may be an iterable yielding (grids, h, noise) tuples; by default
-    batches are generated internally from the run seed. Non-finite losses
-    abort with a diagnostic.
+    Non-finite losses abort with a diagnostic.
     """
     system = build_from_config(cfg)
     params = system.parameters()
@@ -125,7 +122,6 @@ def train(cfg: TrainConfig, data=None, checkpoint_path=None, log_path=None,
     state = LagrangianState(cfg.lambda_2a, cfg.lambda_2b, cfg.lambda_3,
                             cfg.rho_2a, cfg.rho_2b, cfg.rho_3)
     sigma_w2 = noise_variance_for_psnr(cfg.train_snr_db, cfg.total_power)
-    data_iter = iter(data) if data is not None else None
 
     rows: list[tuple] = []
     global_batch = 0
@@ -134,13 +130,7 @@ def train(cfg: TrainConfig, data=None, checkpoint_path=None, log_path=None,
         sums = np.zeros(5)
         for _ in range(cfg.batches_per_epoch):
             rng = counter_rng(cfg.seed, global_batch, _DATA_STREAM)
-            if data_iter is not None:
-                try:
-                    grids, h, noise = next(data_iter)
-                except StopIteration as exc:
-                    raise NumericError("training data stream ran dry") from exc
-            else:
-                grids, h, noise = make_batch(rng, cfg, sigma_w2)
+            grids, h, noise = make_batch(rng, cfg, sigma_w2)
             result = system.run_batch(grids, h, noise, rng, train=True)
             loss = (total_loss(result.l1, result.l2a, result.l2b, result.l3, state)
                     if al_active else result.l1)
@@ -229,26 +219,21 @@ def load_system(path) -> CaeSystem:
 
 
 def evaluate_ber(system: CaeSystem, cfg: TrainConfig, p_snr_db: float,
-                 n_frames: int, seed: int, batch: int = 32) -> tuple[float, int]:
-    """Hard-decision bit error rate of a trained system, Gray-coded bits."""
+                 n_frames: int, seed: int) -> tuple[float, int]:
+    """Hard-decision bit error rate of a trained system, Gray-coded bits.
+
+    Frames go through :meth:`CaeSystem.detect` 32 at a time, each batch
+    drawn from its own stream: symbols, channel, noise, decoder start.
+    """
     sigma_w2 = noise_variance_for_psnr(p_snr_db, cfg.total_power)
     errors = 0
     total = 0
-    done = 0
-    index = 0
-    while done < n_frames:
-        n = min(batch, n_frames - done)
+    for index, done in enumerate(range(0, n_frames, 32)):
+        n = min(32, n_frames - done)
         rng = counter_rng(seed, index, _EVAL_STREAM)
         grids, h, noise = make_batch(rng, cfg, sigma_w2, n_examples=n)
-        with no_grad():
-            stages = system.transmit(grids, train=False)
-            logits, _ = system.receive(stages["amplified"], stages["filtered"], h, noise,
-                                       rng, train=False, alpha_per_example=True)
-        hard = hard_decisions(logits.values, cfg.mod_order)
-        sent = symbols_to_bits(grids, cfg.mod_order)
-        got = symbols_to_bits(hard, cfg.mod_order)
-        errors += int(np.sum(sent != got))
-        total += sent.size
-        done += n
-        index += 1
+        hard = system.detect(grids, h, noise, system.decoder.initial_estimate(rng, n))
+        batch_errors, batch_bits = bit_errors(grids, hard, cfg.mod_order)
+        errors += batch_errors
+        total += batch_bits
     return errors / total, total

@@ -165,10 +165,18 @@ class ExperimentConfig:
             raise ConfigError("the awgn profile requires n_rx == n_tx")
         if self.channel.profile == "multipath" and not 1 <= self.channel.taps <= sys.n_subcarriers:
             raise ConfigError(f"taps must be between 1 and n_subcarriers ({sys.n_subcarriers})")
+        decay = self.channel.decay
+        if self.channel.profile == "multipath" and decay is not None and not 0.0 < decay <= 1.0:
+            raise ConfigError(f"decay must lie within (0, 1], got {decay!r}")
         if self.rf.amplifier not in ("rapp", "linear"):
             raise ConfigError(f"unknown amplifier {self.rf.amplifier!r}")
         check_range("ibo_db", self.rf.ibo_db, IBO_RANGE_DB, " dB")
         check_range("total_power", self.rf.total_power, TOTAL_POWER_RANGE)
+        # The RAPP gain squares v and raises power ratios to the power p. Far
+        # outside these ranges it overflows (v = 1e300; p = 100 with v = 1e6)
+        # or its output underflows to zero (p = 1e-4).
+        check_range("smoothness", self.rf.smoothness, (0.1, 20.0))
+        check_range("small_signal_gain", self.rf.small_signal_gain, (0.01, 100.0))
         if self.method.name not in ("none", "cf", "slm", "cae"):
             raise ConfigError(f"unknown method {self.method.name!r}")
         check_range("clip_ratio_db", self.method.clip_ratio_db, CLIP_RATIO_RANGE_DB, " dB")
@@ -181,8 +189,13 @@ class ExperimentConfig:
         check_seed(self.run.seed)
         if self.run.frames < 1:
             raise ConfigError("frames must be >= 1")
-        if not all(math.isfinite(p) for p in self.run.p_snr_db):
-            raise ConfigError("p_snr_db values must be finite")
+        # Far outside [-100, 400] dB the noise variance overflows or divides by
+        # zero (about ±3000 dB); -400 dB runs to a BER at chance, and at 300 dB
+        # the noise already sits below the signal's rounding.
+        for p_snr_db in self.run.p_snr_db:
+            check_range("p_snr_db", p_snr_db, (-100.0, 400.0), " dB")
+        if not all(math.isfinite(t) for t in self.run.ccdf_thresholds_db):
+            raise ConfigError("ccdf_thresholds_db values must be finite")
         if self.run.workers < 1:
             raise ConfigError("workers must be >= 1")
         return self

@@ -20,7 +20,6 @@ from .autodiff import no_grad
 from .autodiff.gradcheck import CheckResult, run_all
 from .cae import losses as cae_losses
 from .cae import pipeline as cae_pipeline
-from .cae.model import hard_decisions
 from .cae.training import load_system
 from .channel import (Awgn, MultipathTaps, apply_channel, draw_channel,
                       noise_variance_for_psnr)
@@ -28,8 +27,9 @@ from .config import ExperimentConfig
 from .csvio import write_csv
 from .dsp import dft_unpad, estimate_psd, idft_oversampled, papr_mimo
 from .errors import ConfigError, NumericError
-from .modulation import OfdmGrid, qam_alphabet, symbols_to_bits
-from .rf import RappParams, acpr, apply_ibo, bandpass_filter, bussgang_alpha, rapp_amplify
+from .modulation import OfdmGrid, bit_errors, qam_alphabet
+from .rf import (RappParams, acpr, apply_ibo, bandpass_filter, bussgang_alpha, obo,
+                 rapp_amplify)
 
 BER_HEADER = ["p_snr_db", "ber", "bit_count", "stderr"]
 CCDF_HEADER = ["papr0_db", "ccdf"]
@@ -102,6 +102,7 @@ class _FrameChain:
             self.system = load_system(cfg.method.checkpoint)
             sys_cfg = cfg.system
             if (self.system.n_tx != sys_cfg.n_tx
+                    or self.system.decoder.n_rx != sys_cfg.n_rx
                     or self.system.n_subcarriers != sys_cfg.n_subcarriers
                     or self.system.oversample != sys_cfg.oversample
                     or self.system.mod_order != sys_cfg.mod_order):
@@ -185,15 +186,15 @@ class _FrameChain:
             if phases is not None:
                 got = got * np.conj(phases[f])[None, :]
             detected.append(got)
-        return _bit_errors(np.stack([g.symbols for g in grids]), np.stack(detected), order)
+        return bit_errors(np.stack([g.symbols for g in grids]), np.stack(detected), order)
 
     def cae_ber_block(self, frames: range, point_index: int,
                       sigma_w2: float) -> tuple[int, int]:
         """Simulate a block of frames through the CAE; returns (bit errors, bits).
 
         Each frame draws its grid, channel, noise and decoder start from its
-        own stream, in that order; the block then goes through one transmit
-        and one receive pass.
+        own stream, in that order; the block then goes through one
+        :meth:`CaeSystem.detect` pass.
         """
         cfg = self.cfg
         k, n_rx = cfg.system.n_subcarriers, cfg.system.n_rx
@@ -206,15 +207,10 @@ class _FrameChain:
             grids.append(grid.symbols)
             hs.append(chan.h)
             noises.append(noise)
-            starts.append(self.system.decoder.initial_estimate(rng, 1).values[0])
+            starts.append(self.system.decoder.initial_estimate(rng, 1)[0])
         grids = np.stack(grids)
-        with no_grad():
-            stages = self.system.transmit(grids, train=False)
-            logits, _ = self.system.receive(
-                stages["amplified"], stages["filtered"], np.stack(hs), np.stack(noises),
-                None, train=False, alpha_per_example=True, start=np.stack(starts))
-        hard = hard_decisions(logits.values, cfg.system.mod_order)
-        return _bit_errors(grids, hard, cfg.system.mod_order)
+        hard = self.system.detect(grids, np.stack(hs), np.stack(noises), np.stack(starts))
+        return bit_errors(grids, hard, cfg.system.mod_order)
 
     def _link_draw(self, rng: np.random.Generator, sigma_w2: float):
         """A frame's symbol grid and channel, the first draws of its stream."""
@@ -233,17 +229,9 @@ class _FrameChain:
         return estimate_psd(amplified), estimate_psd(backed)
 
     def spectral_block(self, frames: range) -> tuple[np.ndarray, np.ndarray]:
-        """PSD bins [F, N] of each amplified frame plus its backed-off antenna power sum [F]."""
+        """PSD bins [F, N] of each amplified frame plus its backed-off antenna powers [F, A]."""
         backed, amplified = self.amplified(self.drawn_block(frames))
-        per_antenna_total = np.sum(np.mean(np.abs(backed) ** 2, axis=-1), axis=-1)
-        return estimate_psd(amplified), per_antenna_total
-
-
-def _bit_errors(sent: np.ndarray, detected: np.ndarray, order: int) -> tuple[int, int]:
-    """(bit errors, bits) between sent and detected symbol arrays."""
-    sent_bits = symbols_to_bits(sent, order)
-    got_bits = symbols_to_bits(detected, order)
-    return int(np.sum(sent_bits != got_bits)), sent_bits.size
+        return estimate_psd(amplified), np.mean(np.abs(backed) ** 2, axis=-1)
 
 
 def _write_finite(path, header: list[str], rows: list[tuple]) -> str:
@@ -316,7 +304,7 @@ def run_ccdf(cfg: ExperimentConfig, thresholds_db=None) -> tuple[str, list[Curve
         stderr = float(np.sqrt(max(exceed * (1.0 - exceed), 0.0) / paprs.size))
         records.append(CurveRecord(t, exceed, paprs.size, stderr))
     rows = [(r.x, r.y) for r in records]
-    return write_csv(cfg.run.out, CCDF_HEADER, rows), records
+    return _write_finite(cfg.run.out, CCDF_HEADER, rows), records
 
 
 def run_psd(cfg: ExperimentConfig) -> str:
@@ -347,10 +335,9 @@ def run_acpr_obo(cfg_list: list[ExperimentConfig], out=None) -> str:
         chain = _FrameChain(cfg)
         results = _map_blocks(chain.spectral_block, cfg.run.frames, cfg.run.workers)
         psd_bins = np.mean(np.concatenate([r[0] for r in results]), axis=0)
-        mean_backed_total = float(np.mean(np.concatenate([r[1] for r in results])))
-        acpr_db = acpr(psd_bins, cfg.system.oversample)
-        obo_db = float(10.0 * np.log10(cfg.rf.total_power / mean_backed_total))
-        rows.append((cfg.method.name, acpr_db, obo_db))
+        antenna_power = np.concatenate([r[1] for r in results])
+        rows.append((cfg.method.name, acpr(psd_bins, cfg.system.oversample),
+                     obo(antenna_power, cfg.rf.total_power)))
     return _write_finite(out, ACPR_OBO_HEADER, rows)
 
 

@@ -86,6 +86,13 @@ def symbols_to_bits(symbols: np.ndarray, order: int) -> np.ndarray:
     return np.concatenate([table[re_idx], table[im_idx]], axis=-1)
 
 
+def bit_errors(sent: np.ndarray, detected: np.ndarray, order: int) -> tuple[int, int]:
+    """(bit errors, bits) between sent and detected symbol arrays, Gray-coded."""
+    sent_bits = symbols_to_bits(sent, order)
+    got_bits = symbols_to_bits(detected, order)
+    return int(np.sum(sent_bits != got_bits)), sent_bits.size
+
+
 @dataclass(frozen=True)
 class OfdmGrid:
     """Frequency-domain symbol matrix, one row per transmit antenna.

@@ -3,7 +3,8 @@
 Also provides the Bussgang linearization gain and the spectral metrics
 ACPR (from PSD bins) and OBO. Every stage takes plain complex arrays: the
 filter, back-off and amplifier one frame [A, N] or a stack [..., A, N];
-the Bussgang gain, ACPR and OBO one frame.
+the Bussgang gain and ACPR one frame; OBO the antenna powers of one frame
+or of several.
 """
 
 from __future__ import annotations
@@ -116,10 +117,13 @@ def acpr(bin_power: np.ndarray, L: int) -> float:
     return float(10.0 * np.log10(max(upper, lower) / main))
 
 
-def obo(backed: np.ndarray, total_power: float) -> float:
-    """Output back-off in dB of one frame [A, N]: budget over summed per-antenna mean powers."""
-    per_antenna = np.mean(np.abs(backed) ** 2, axis=1)
-    total = per_antenna.sum()
+def obo(antenna_power: np.ndarray, total_power: float) -> float:
+    """Output back-off in dB: the budget over the mean per-frame power.
+
+    ``antenna_power`` holds each antenna's mean backed-off power, [A] for
+    one frame or [F, A] for several; a frame's power is its antenna sum.
+    """
+    total = float(np.mean(np.sum(antenna_power, axis=-1)))
     if total == 0.0:
         raise ValueError("zero-power frame")
     return float(10.0 * np.log10(total_power / total))

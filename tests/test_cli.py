@@ -81,6 +81,25 @@ BAD_INPUTS = {   # name -> (text replacements applied to BASE, words of the mess
                   "clip_ratio_db"),
     "clip_4000": ([("[rf]", "[method]\nname = cf\nclip_ratio_db = 4000\n[rf]")],
                   "clip_ratio_db"),
+    # decay 2 and NaN raised a ValueError from the tap profile
+    "decay_2": ([("[rf]", "[channel]\nprofile = multipath\ndecay = 2.0\n[rf]")], "decay"),
+    "decay_nan": ([("[rf]", "[channel]\nprofile = multipath\ndecay = nan\n[rf]")], "decay"),
+    # a non-positive smoothness or gain raised a ValueError from RappParams, NaN
+    # passed it, and a gain of 1e300 overflowed in the amplifier
+    "smoothness_negative": ([("amplifier = linear", "amplifier = rapp\nsmoothness = -1")],
+                            "smoothness"),
+    "smoothness_nan": ([("amplifier = linear", "amplifier = rapp\nsmoothness = nan")],
+                       "smoothness"),
+    "gain_zero": ([("amplifier = linear", "amplifier = rapp\nsmall_signal_gain = 0")],
+                  "small_signal_gain"),
+    "gain_1e300": ([("amplifier = linear", "amplifier = rapp\nsmall_signal_gain = 1e300")],
+                   "small_signal_gain"),
+    # wrote a CSV holding a "nan,0" row and exited 0
+    "thresholds_nan": ([("p_snr_db = 10", "p_snr_db = 10\nccdf_thresholds_db = nan, inf, 5")],
+                       "ccdf_thresholds_db"),
+    # the noise variance overflowed (1e300) or divided by zero (-1e300)
+    "psnr_1e300": ([("p_snr_db = 10", "p_snr_db = 1e300")], "p_snr_db"),
+    "psnr_-1e300": ([("p_snr_db = 10", "p_snr_db = -1e300")], "p_snr_db"),
 }
 
 
@@ -386,6 +405,18 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert str(checkpoint) in err[0]
+
+    def test_receive_antennas_mismatch_refused(self, tmp_path, capsys):
+        checkpoint = tmp_path / "cae.bin"
+        _small_checkpoint(checkpoint)                    # 2 x 2
+        path = tmp_path / "cae.cfg"
+        path.write_text(BASE.replace("n_rx = 2", "n_rx = 3")
+                        + "[channel]\nprofile = multipath\ntaps = 4\n"
+                        f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
+                        "[detector]\nname = cae\n")
+        assert main(["ber", "--config", str(path), "--frames", "2"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: checkpoint geometry does not match the config"]
 
     def test_intact_checkpoint_runs(self, tmp_path):
         checkpoint = tmp_path / "cae.bin"

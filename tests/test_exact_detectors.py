@@ -19,6 +19,7 @@ from ofdmlab import baselines, harness
 from ofdmlab.autodiff import no_grad
 from ofdmlab.baselines import MLE_CANDIDATE_GUARD, mle_detect, zf_detect
 from ofdmlab.cae import training
+from ofdmlab.cae.model import hard_decisions
 from ofdmlab.cae.pipeline import build_system
 from ofdmlab.channel import (ChannelRealization, MultipathTaps, apply_channel,
                              draw_channel, noise_variance_for_psnr)
@@ -126,7 +127,7 @@ def cae_ber_frame_ref(chain, frame_index: int, point_index: int,
     with no_grad():
         result = chain.system.run_batch(grid.symbols[None], chan.h[None], noise,
                                         rng, train=False)
-    hard = result.hard_symbols(cfg.system.mod_order)[0]
+    hard = hard_decisions(result.logits.values, cfg.system.mod_order)[0]
     sent = symbols_to_bits(grid.symbols, cfg.system.mod_order)
     got = symbols_to_bits(hard, cfg.system.mod_order)
     return int(np.sum(sent != got)), sent.size

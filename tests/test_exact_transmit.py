@@ -168,10 +168,9 @@ def psd_frame_ref(chain, frame_index: int):
 
 
 def spectral_frame_ref(chain, frame_index: int):
-    """PSD bins of the amplified frame plus the backed-off antenna power sum."""
+    """PSD bins of the amplified frame plus its backed-off per-antenna mean powers."""
     backed, amplified, _ = amplified_ref(chain, drawn_filtered_ref(chain, frame_index))
-    per_antenna_total = float(np.sum(np.mean(np.abs(backed) ** 2, axis=1)))
-    return estimate_psd_ref(amplified), per_antenna_total
+    return estimate_psd_ref(amplified), np.mean(np.abs(backed) ** 2, axis=1)
 
 
 # The oracle chain methods, as block methods that loop over their frames.

@@ -260,8 +260,8 @@ class TestRunAcprObo:
         obo_db = float(text.strip().split("\n")[1].split(",")[2])
         from ofdmlab.harness import _FrameChain
         chain = _FrameChain(cfg)
-        totals = chain.spectral_block(range(8))[1]
-        expected = 10 * np.log10(cfg.rf.total_power / np.mean(totals))
+        antenna_power = chain.spectral_block(range(8))[1]
+        expected = 10 * np.log10(cfg.rf.total_power / np.mean(np.sum(antenna_power, axis=-1)))
         assert abs(obo_db - expected) < 1e-12
 
     def test_empty_list_rejected(self):

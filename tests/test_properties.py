@@ -1,9 +1,11 @@
 """Property tests: BER, CCDF, PSD and ACPR-OBO output does not depend on how
 the frames are split, any [train] text either builds a training config or is
-a ConfigError, and any command line ends in a documented exit code."""
+a ConfigError, and any command line or config value ends in a documented
+exit code."""
 
 import contextlib
 import io
+import math
 import os
 from dataclasses import fields, replace
 
@@ -159,3 +161,64 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, command, config, gro
         prefix = "config error: " if code == 1 else "numeric error: "
         assert len(lines) == 1 and lines[0].startswith(prefix), (argv, lines)
     assert "Traceback" not in out.getvalue() + err.getvalue(), argv
+
+
+# -- config-value fuzzing ------------------------------------------------------
+
+FUZZ_SYSTEM = ("[system]\nn_tx = 2\nn_rx = 2\nn_subcarriers = 16\noversample = 4\n"
+               "mod_order = 4\n")
+FUZZ_FLOATS = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "0.5", "1", "2", "nan", "inf", "-inf", "1e300",
+                     "-1e300", "1e-300", "1e400", "5e-324"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+FUZZ_FLOAT_LISTS = st.lists(FUZZ_FLOATS, min_size=1, max_size=3).map(", ".join)
+# Sizes that ask for work (slm_candidates, workers) stay small: a huge one is
+# a request for memory or threads, not a numeric value to survive.
+CONFIG_VALUES = {
+    ("channel", "profile"): st.sampled_from(["awgn", "multipath", "rician"]),
+    ("channel", "taps"): st.sampled_from(["-1", "0", "1", "4", "16", "17", str(10 ** 6)]),
+    ("channel", "decay"): FUZZ_FLOATS,
+    ("rf", "amplifier"): st.sampled_from(["rapp", "linear", "tube"]),
+    ("rf", "ibo_db"): FUZZ_FLOATS,
+    ("rf", "smoothness"): FUZZ_FLOATS,
+    ("rf", "small_signal_gain"): FUZZ_FLOATS,
+    ("rf", "total_power"): FUZZ_FLOATS,
+    ("method", "name"): st.sampled_from(["none", "cf", "slm", "pts"]),
+    ("method", "clip_ratio_db"): FUZZ_FLOATS,
+    ("method", "slm_candidates"): st.sampled_from(["-1", "0", "1", "4"]),
+    ("run", "seed"): st.sampled_from(["-1", "0", "7", str(2 ** 128)]),
+    ("run", "p_snr_db"): FUZZ_FLOAT_LISTS,
+    ("run", "ccdf_thresholds_db"): FUZZ_FLOAT_LISTS,
+    ("run", "workers"): st.sampled_from(["-1", "0", "1", "2"]),
+}
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(command=st.sampled_from(["ber", "ccdf"]),
+       values=st.fixed_dictionaries({}, optional=CONFIG_VALUES))
+def test_config_values_exit_with_a_documented_code(tmp_path_factory, command, values):
+    """Any [channel], [rf], [method], [run] values: exit 0, 1 or 2 with one line, no
+    traceback, and a written CSV holds only finite numbers."""
+    run_dir = tmp_path_factory.mktemp("values")
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}\n")
+    text = FUZZ_SYSTEM + "".join(f"[{name}]\n" + "".join(lines)
+                                 for name, lines in sections.items())
+    (run_dir / "fuzz.cfg").write_text(text)
+    out_csv = run_dir / "out.csv"
+    argv = [command, "--config", str(run_dir / "fuzz.cfg"), "--out", str(out_csv),
+            "--frames", "3" if command == "ber" else "100"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in out.getvalue() + err.getvalue(), text
+    if code:
+        prefix = "config error: " if code == 1 else "numeric error: "
+        assert len(lines) == 1 and lines[0].startswith(prefix), (text, lines)
+    else:
+        rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
+        assert rows and all(math.isfinite(float(v)) for row in rows for v in row), text

@@ -203,12 +203,11 @@ class TestAcpr:
 
 class TestObo:
     def test_quarter_power(self):
-        samples = np.full((2, 16), np.sqrt(0.125) + 0j)   # total 0.25 over antennas
-        assert abs(obo(samples, 1.0) - 6.0206) < 1e-3
+        powers = np.full(2, 0.125)   # total 0.25 over antennas
+        assert abs(obo(powers, 1.0) - 6.0206) < 1e-3
 
     def test_full_power_is_zero_db(self):
-        samples = np.full((2, 16), np.sqrt(0.5) + 0j)
-        assert abs(obo(samples, 1.0)) < 1e-12
+        assert abs(obo(np.full(2, 0.5), 1.0)) < 1e-12
 
     def test_obo_tracks_ibo(self):
         # with per-frame input calibration the two back-offs coincide
@@ -216,4 +215,12 @@ class TestObo:
         params = RappParams.from_power_budget(1.0, frame.shape[0])
         for ibo_db in (3.0, 6.0, 9.0):
             backed = apply_ibo(frame, ibo_db, params)
-            assert abs(obo(backed, 1.0) - ibo_db) < 1e-9
+            assert abs(obo(np.mean(np.abs(backed) ** 2, axis=-1), 1.0) - ibo_db) < 1e-9
+
+    def test_frames_average_their_power_sums(self):
+        powers = np.array([[0.125, 0.125], [0.5, 0.25]])   # frame sums 0.25 and 0.75
+        assert obo(powers, 1.0) == float(10.0 * np.log10(1.0 / 0.5))
+
+    def test_zero_power_refused(self):
+        with pytest.raises(ValueError, match="zero-power"):
+            obo(np.zeros((3, 2)), 1.0)

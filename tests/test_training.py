@@ -8,9 +8,9 @@ import pytest
 from ofdmlab import modulation
 from ofdmlab.autodiff import no_grad
 from ofdmlab.cae import TrainConfig, pipeline, train, training
+from ofdmlab.cae.model import hard_decisions
 from ofdmlab.cae.training import _EVAL_STREAM, LOG_HEADER, counter_rng, make_batch
 from ofdmlab.channel import noise_variance_for_psnr
-from ofdmlab.errors import NumericError
 from ofdmlab.modulation import symbols_to_bits
 
 
@@ -77,19 +77,6 @@ class TestDeterminism:
 
 
 class TestDataPlumbing:
-    def test_external_stream_consumed(self):
-        cfg = toy_config()
-        sigma = 1e-4
-        batches = [make_batch(counter_rng(9, i, 1), cfg, sigma) for i in range(6)]
-        result = train(cfg, data=iter(batches))
-        assert len(result.log_rows) == 3
-
-    def test_short_stream_aborts(self):
-        cfg = toy_config()
-        batches = [make_batch(counter_rng(9, i, 1), cfg, 1e-4) for i in range(3)]
-        with pytest.raises(NumericError):
-            train(cfg, data=iter(batches))
-
     def test_batch_shapes(self):
         cfg = toy_config()
         grids, h, noise = make_batch(counter_rng(1, 0, 1), cfg, 1e-3)
@@ -113,7 +100,7 @@ def evaluate_ber_oracle(system, cfg: TrainConfig, p_snr_db: float,
         grids, h, noise = make_batch(rng, cfg, sigma_w2, n_examples=n)
         with no_grad():
             result = system.run_batch(grids, h, noise, rng, train=False)
-        hard = result.hard_symbols(cfg.mod_order)
+        hard = hard_decisions(result.logits.values, cfg.mod_order)
         sent = symbols_to_bits(grids, cfg.mod_order)
         got = symbols_to_bits(hard, cfg.mod_order)
         errors += int(np.sum(sent != got))
@@ -129,10 +116,11 @@ class TestEvaluateBer:
         cfg = toy_config(channel_taps=3)
         system = train(cfg).system
         recorded = {"new": [], "old": []}
+        original = modulation.symbols_to_bits
 
         def recorder(key):
             def record(symbols, order):
-                bits = modulation.symbols_to_bits(symbols, order)
+                bits = original(symbols, order)
                 recorded[key].append(bits)
                 return bits
             return record
@@ -141,7 +129,7 @@ class TestEvaluateBer:
             raise AssertionError("evaluate_ber computed a training loss")
 
         with monkeypatch.context() as patch:
-            patch.setattr(training, "symbols_to_bits", recorder("new"))
+            patch.setattr(modulation, "symbols_to_bits", recorder("new"))
             for name in ("loss_reconstruction", "loss_papr", "loss_acpr"):
                 patch.setattr(pipeline, name, no_losses)
             new = training.evaluate_ber(system, cfg, p_snr_db, 70, seed=4)
