@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .tensor import DiffTensor, _accumulate, _node, as_tensor
 
 SELU_LAMBDA = 1.0507009873554804934193349852946
 SELU_ALPHA = 1.6732632423543772848170429916717
-BLOCK_BYTES = 1 << 20   # im2col columns per batch block, sized to stay in cache
+BLOCK_BYTES = 1 << 20   # bytes per batch block of the dX scatter-add, sized to stay in cache
 
 
 def _window_slices(cols_shape) -> list:
     """(padded-input index, im2col index) pairs, batch block by batch block.
 
     ``cols_shape`` is [B, H_out, W_out, C_in, kh, kw]. Within a block the
-    kernel taps run in (u, v) order, so a scatter-add through the pairs sums
-    each input position in the same order as one whole-batch pass per tap.
+    kernel taps run in (u, v) order, so conv2d's dX scatter-add through the
+    pairs sums each input position in the same order as one whole-batch
+    pass per tap. The forward and weight-gradient gathers do not use it:
+    they take the im2col rows through :func:`_im2col_index`.
     """
     n_batch, h_out, w_out, c_in, kh, kw = cols_shape
     sample_bytes = 8 * h_out * w_out * c_in * kh * kw
@@ -31,6 +35,27 @@ def _window_slices(cols_shape) -> list:
     return pairs
 
 
+@functools.lru_cache(maxsize=32)   # a model has a handful of conv shapes
+def _im2col_index(sample_shape: tuple, kh: int, kw: int) -> np.ndarray:
+    """Read-only flat index of one sample's im2col rows.
+
+    ``sample_shape`` is one zero-padded channels-last sample (Hp, Wp, C_in).
+    Entry [i, j, c, u, v] (flattened) is the position of input (i+u, j+v, c)
+    in the flattened sample, so one ``np.take`` along the flattened sample
+    axis yields the rows [H_out * W_out, C_in * kh * kw] in (c, u, v) order.
+    """
+    hp, wp, c_in = sample_shape
+    rows = np.arange(hp - kh + 1).reshape(-1, 1, 1, 1, 1)
+    cols = np.arange(wp - kw + 1).reshape(1, -1, 1, 1, 1)
+    chans = np.arange(c_in).reshape(1, 1, -1, 1, 1)
+    taps_u = np.arange(kh).reshape(1, 1, 1, -1, 1)
+    taps_v = np.arange(kw).reshape(1, 1, 1, 1, -1)
+    index = ((rows + taps_u) * wp + cols + taps_v) * c_in + chans
+    index = index.reshape(-1)
+    index.flags.writeable = False
+    return index
+
+
 def conv2d(x, weights, bias=None, padding=(0, 0)) -> DiffTensor:
     """Cross-correlation with stride 1 and zero padding.
 
@@ -38,10 +63,12 @@ def conv2d(x, weights, bias=None, padding=(0, 0)) -> DiffTensor:
     ``weights`` is [C_out, C_in, kh, kw], ``bias`` is [C_out] or None.
     ``padding`` is (pad_h, pad_w), applied on both sides of each axis.
 
-    The input is copied once into a zero-padded channels-last buffer and
-    gathered into im2col rows in cache-sized batch blocks. The rows keep the
-    (c, u, v) column order of the weights, so the GEMM sums in the same
-    order as a channel-first im2col would.
+    The input is copied into a zero-padded channels-last buffer and gathered
+    into im2col rows by one ``np.take`` through a cached index. The rows
+    keep the (c, u, v) column order of the weights, so the GEMM sums in the
+    same order as a channel-first im2col would. The tape keeps no im2col
+    matrix: backward re-pads the input and re-gathers the rows for the
+    weight gradient.
     """
     x, weights = as_tensor(x), as_tensor(weights)
     squeeze_batch = x.values.ndim == 3
@@ -57,17 +84,17 @@ def conv2d(x, weights, bias=None, padding=(0, 0)) -> DiffTensor:
     w_out = w + 2 * pw - kw + 1
     if h_out < 1 or w_out < 1:
         raise ValueError("kernel does not fit the padded input")
-
     padded_shape = (n_batch, h + 2 * ph, w + 2 * pw, c_in)
-    xp = np.zeros(padded_shape)
-    xp[:, ph:ph + h, pw:pw + w] = xv.transpose(0, 2, 3, 1)
-    cols = np.empty((n_batch, h_out, w_out, c_in, kh, kw))
-    windows = _window_slices(cols.shape)
-    for padded, col in windows:
-        cols[col] = xp[padded]
-    cols = cols.reshape(n_batch * h_out * w_out, c_in * kh * kw)
+    index = _im2col_index(padded_shape[1:], kh, kw)
+
+    def im2col():
+        xp = np.zeros(padded_shape)
+        xp[:, ph:ph + h, pw:pw + w] = xv.transpose(0, 2, 3, 1)
+        cols = np.take(xp.reshape(n_batch, -1), index, axis=1)
+        return cols.reshape(n_batch * h_out * w_out, c_in * kh * kw)
+
     w_mat = weights.values.reshape(c_out, -1)
-    out = cols @ w_mat.T
+    out = im2col() @ w_mat.T
     parents = [x, weights]
     if bias is not None:
         bias = as_tensor(bias)
@@ -82,13 +109,13 @@ def conv2d(x, weights, bias=None, padding=(0, 0)) -> DiffTensor:
         gv = g[None] if squeeze_batch else g
         g_mat = np.ascontiguousarray(gv.transpose(0, 2, 3, 1)).reshape(-1, c_out)
         if weights.requires_grad:
-            _accumulate(weights, (g_mat.T @ cols).reshape(weights.values.shape), owned=True)
+            _accumulate(weights, (g_mat.T @ im2col()).reshape(weights.values.shape), owned=True)
         if bias is not None and bias.requires_grad:
             _accumulate(bias, g_mat.sum(axis=0), owned=True)
         if x.requires_grad:
             g_cols = (g_mat @ w_mat).reshape(n_batch, h_out, w_out, c_in, kh, kw)
             gxp = np.zeros(padded_shape)
-            for padded, col in windows:
+            for padded, col in _window_slices(g_cols.shape):
                 gxp[padded] += g_cols[col]
             gx = np.ascontiguousarray(gxp[:, ph:ph + h, pw:pw + w].transpose(0, 3, 1, 2))
             _accumulate(x, gx[0] if squeeze_batch else gx, owned=True)

@@ -9,6 +9,7 @@ seed, so a rerun reproduces logs and checkpoints bit for bit.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,8 +22,9 @@ from ..channel import Awgn, MultipathTaps, draw_channel, noise_variance_for_psnr
 from ..config import IBO_RANGE_DB, TOTAL_POWER_RANGE, TrainSection, check_range
 from ..csvio import write_csv
 from ..errors import ConfigError, NumericError
-from ..modulation import bit_errors, qam_alphabet
+from ..modulation import bit_errors, pam_levels, qam_alphabet
 from .losses import LagrangianState, total_loss, update_multipliers
+from .model import DECODER_CHANNELS, ENCODER_CHANNELS
 from .pipeline import CaeSystem, build_system
 
 LOG_HEADER = ["epoch", "l1", "l2a", "l2b", "l3",
@@ -110,12 +112,74 @@ def build_from_config(cfg: TrainConfig) -> CaeSystem:
                         init_scale=cfg.init_scale, seed=cfg.seed)
 
 
+def _parameter_count(cfg: TrainConfig) -> int:
+    """Trainable entries of the system :func:`build_from_config` would build."""
+    width = 2 * cfg.oversample * cfg.n_subcarriers
+    c1, c2, c3 = ENCODER_CHANNELS
+    # conv weights, then conv bias + batch-norm gamma and beta per channel, then fc
+    encoder = 3 * (c1 + c1 * c2 + c2 * c3) + 3 * (c1 + c2 + c3) + width * (c3 * width + 1)
+    d1, d2 = DECODER_CHANNELS
+    # the decoder's 3x3 convs pad by 2, so each grows its [3A, 2K] map by 2 per axis
+    flat_in = d2 * (3 * cfg.n_tx + 4) * (2 * cfg.n_subcarriers + 4)
+    estimate = cfg.n_tx * 2 * cfg.n_subcarriers
+    per_iteration = 9 * (d1 + d1 * d2) + 3 * (d1 + d2) + 2
+    fc_out = (cfg.decoder_iterations - 1) * estimate + estimate * pam_levels(cfg.mod_order).size
+    return (encoder + cfg.decoder_iterations * per_iteration
+            + fc_out * (flat_in + 1))
+
+
+def _training_bytes(cfg: TrainConfig) -> int:
+    """Estimated peak bytes of :func:`train`, from the geometry alone.
+
+    Four parameter-sized float64 buffers (values, gradients and the two
+    Adam moments), plus per example five float64 arrays for every entry of
+    a convolution's output map, the tape's activations: the conv output,
+    batch norm's normalized input and output, SELU's exponential and output.
+    """
+    width = 2 * cfg.oversample * cfg.n_subcarriers
+    d1, d2 = DECODER_CHANNELS
+    maps = (cfg.n_tx * width * sum(ENCODER_CHANNELS)
+            + cfg.decoder_iterations * (
+                d1 * (3 * cfg.n_tx + 2) * (2 * cfg.n_subcarriers + 2)
+                + d2 * (3 * cfg.n_tx + 4) * (2 * cfg.n_subcarriers + 4)))
+    return 8 * (4 * _parameter_count(cfg) + 5 * cfg.batch_size * maps)
+
+
+def _available_bytes() -> int | None:
+    """Physical memory, capped by the cgroup's ``memory.max`` where it can be read.
+
+    None where ``os.sysconf`` cannot report it (as on Windows).
+    """
+    try:
+        total = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return None
+    try:
+        limit = Path("/sys/fs/cgroup/memory.max").read_text().strip()
+    except OSError:
+        return total
+    return min(total, int(limit)) if limit.isdigit() else total
+
+
+def _check_memory(cfg: TrainConfig, available: int | None = None):
+    """ConfigError if the run's estimated bytes exceed the available memory."""
+    needed = _training_bytes(cfg)
+    if available is None:
+        available = _available_bytes()
+    if available is not None and needed > available:
+        raise ConfigError(f"training needs about {needed / 1e9:.3g} GB of memory, "
+                          f"but {available / 1e9:.3g} GB is available")
+
+
 def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
           progress=None) -> TrainResult:
     """Run the two-stage loop on batches drawn from the run seed.
 
-    Non-finite losses abort with a diagnostic.
+    A run whose estimated memory exceeds the host's is refused before
+    anything is allocated. Non-finite losses abort with a diagnostic. Each
+    step's gradients are dropped once the optimizer has used them.
     """
+    _check_memory(cfg)
     system = build_from_config(cfg)
     params = system.parameters()
     optimizer = AdamW(params, lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -139,10 +203,10 @@ def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
                     f"non-finite loss at epoch {epoch}, batch {global_batch}: "
                     f"l1={result.l1.item():g} l2a={result.l2a.item():g} "
                     f"l2b={result.l2b.item():g} l3={result.l3.item():g}")
-            optimizer.zero_grad()
             loss.backward()
             grad_norm = optimizer.grad_norm()
             optimizer.step()
+            optimizer.zero_grad()
             sums += [result.l1.item(), result.l2a.item(), result.l2b.item(),
                      result.l3.item(), grad_norm]
             global_batch += 1

@@ -28,6 +28,11 @@ TOTAL_POWER_RANGE = (1e-6, 1e6)
 # only each sample's phase (-400 dB: BER at chance) or zeroes the frame
 # (-4000 dB); far above it the clip never acts and its scale overflows (4000 dB).
 CLIP_RATIO_RANGE_DB = (-10.0, 30.0)
+# Peak SNR range of [run] p_snr_db and [train] train_snr_db, dB. Far outside
+# it the noise variance overflows or divides by zero (about ±3000 dB); -400 dB
+# runs to a BER at chance, and at 300 dB the noise already sits below the
+# signal's rounding.
+_SNR_RANGE_DB = (-100.0, 400.0)
 
 
 def check_range(name: str, value: float, bounds: tuple[float, float], unit: str = "") -> None:
@@ -138,9 +143,10 @@ class TrainSection:
                 raise ConfigError(f"{name} must be positive")
         if not self.lambda_3 >= 0.0:
             raise ConfigError("lambda_3 must be >= 0")
-        for name in ("lr", "weight_decay", "train_snr_db", "acpr_req_db", "init_scale"):
+        for name in ("lr", "weight_decay", "acpr_req_db", "init_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        check_range("train_snr_db", self.train_snr_db, _SNR_RANGE_DB, " dB")
 
 
 @dataclass(frozen=True)
@@ -189,11 +195,8 @@ class ExperimentConfig:
         check_seed(self.run.seed)
         if self.run.frames < 1:
             raise ConfigError("frames must be >= 1")
-        # Far outside [-100, 400] dB the noise variance overflows or divides by
-        # zero (about ±3000 dB); -400 dB runs to a BER at chance, and at 300 dB
-        # the noise already sits below the signal's rounding.
         for p_snr_db in self.run.p_snr_db:
-            check_range("p_snr_db", p_snr_db, (-100.0, 400.0), " dB")
+            check_range("p_snr_db", p_snr_db, _SNR_RANGE_DB, " dB")
         if not all(math.isfinite(t) for t in self.run.ccdf_thresholds_db):
             raise ConfigError("ccdf_thresholds_db values must be finite")
         if self.run.workers < 1:

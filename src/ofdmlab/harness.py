@@ -107,6 +107,15 @@ class _FrameChain:
                     or self.system.oversample != sys_cfg.oversample
                     or self.system.mod_order != sys_cfg.mod_order):
                 raise ConfigError("checkpoint geometry does not match the config")
+            # one transmitter: BER runs through the checkpoint's amplifier,
+            # the spectral paths through the config's [rf]
+            differ = [name for name, same in (
+                ("ibo_db", self.system.ibo_db == cfg.rf.ibo_db),
+                ("total_power", self.system.rapp.a0 == self.params.a0),
+                ("smoothness", self.system.rapp.p == self.params.p)) if not same]
+            if differ:
+                raise ConfigError("checkpoint RF settings do not match the config's [rf]: "
+                                  + ", ".join(differ))
 
     # -- transmit side -------------------------------------------------------
 

@@ -341,14 +341,29 @@ BAD_RECIPES = {   # [train] lines -> words of the message
     "lr = nan": "lr",
     "weight_decay = inf": "weight_decay",
     "train_snr_db = -inf": "train_snr_db",
+    # 1e300 overflowed in the noise variance; the range is [run] p_snr_db's
+    "train_snr_db = 1e300": "train_snr_db must lie within [-100, 400] dB",
+    "train_snr_db = -100.5": "train_snr_db must lie within [-100, 400] dB",
     "acpr_req_db = nan": "acpr_req_db",
     "init_scale = inf": "init_scale",
 }
 
 
 class TestBadTrainingRecipe:
+    def test_run_larger_than_memory_refused(self, cfg_file, tmp_path, capsys, monkeypatch):
+        import ofdmlab.cae.training as training
+        _refuse_frames(monkeypatch)
+        monkeypatch.setattr(training, "_available_bytes", lambda: 1 << 20)
+        out = tmp_path / "model.bin"
+        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("config error: training needs about ")
+        assert err[0].endswith("but 0.00105 GB is available")
+        assert not out.exists()
+
     @pytest.mark.parametrize("lines", sorted(BAD_RECIPES))
-    def test_refused_as_config_error(self, lines, tmp_path, capsys):
+    def test_refused_as_config_error(self, lines, tmp_path, capsys, monkeypatch):
+        _refuse_frames(monkeypatch)
         out = tmp_path / "model.bin"
         path = tmp_path / "train.cfg"
         path.write_text(BASE + f"out = {out}\n[train]\n{lines}\n")
@@ -417,6 +432,23 @@ class TestBadCheckpoint:
         assert main(["ber", "--config", str(path), "--frames", "2"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: checkpoint geometry does not match the config"]
+
+    @pytest.mark.parametrize("command", ["ber", "psd"])
+    @pytest.mark.parametrize("line,key", [("ibo_db = 3", "ibo_db"),
+                                          ("total_power = 2", "total_power"),
+                                          ("smoothness = 3", "smoothness")])
+    def test_rf_mismatch_refused(self, tmp_path, capsys, monkeypatch, command, line, key):
+        _refuse_frames(monkeypatch)
+        checkpoint = tmp_path / "cae.bin"
+        _small_checkpoint(checkpoint)                    # IBO 6 dB, power 1, smoothness 2
+        path = tmp_path / "cae.cfg"
+        path.write_text(BASE.replace("amplifier = linear", f"amplifier = rapp\n{line}")
+                        + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
+                        "[detector]\nname = cae\n")
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: checkpoint RF settings do not match "
+                       f"the config's [rf]: {key}"]
 
     def test_intact_checkpoint_runs(self, tmp_path):
         checkpoint = tmp_path / "cae.bin"

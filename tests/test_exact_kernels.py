@@ -9,6 +9,7 @@ bytes. Shapes are the acceptance-9 smoke geometry (2x2, K=16, L=4, batch 32).
 """
 
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -466,3 +467,45 @@ def test_decoder_activation_freed_after_backward(monkeypatch):
     gc.collect()
     assert all(r() is None for r in refs)
     assert system.decoder.fc_w[0].grad is not None
+
+
+# -- memory held between steps ---------------------------------------------------
+
+
+def test_conv2d_tape_holds_no_im2col_matrix():
+    """At decoder conv_b shape the node keeps less than one im2col matrix beyond its output."""
+    n, c_in, h, w = B, 15, 8, 34
+    c_out, kh, kw = 21, 3, 3
+    rng = np.random.default_rng(13)
+    x = leaf(nhwc(rng, (n, c_in, h, w)))
+    weights = leaf(rng.standard_normal((c_out, c_in, kh, kw)))
+    bias = leaf(rng.standard_normal(c_out))
+    cols_bytes = 8 * n * (h + 2) * (w + 2) * c_in * kh * kw    # padding 2, 3x3: H + 2, W + 2
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layers.conv2d(x, weights, bias, padding=(2, 2))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert held - out.values.nbytes < cols_bytes
+
+
+def test_grads_released_after_each_step(monkeypatch):
+    """No gradient is alive during a forward pass or once train() returns."""
+    from ofdmlab.cae.pipeline import CaeSystem
+    run_batch = CaeSystem.run_batch
+    seen = []
+
+    def checked(self, *args, **kwargs):
+        seen.append(all(p.grad is None for p in self.parameters().values()))
+        return run_batch(self, *args, **kwargs)
+
+    monkeypatch.setattr(CaeSystem, "run_batch", checked)
+    cfg = replace(SMOKE, batch_size=4, decoder_iterations=2, epochs=2,
+                  gradual_start_epoch=2, batches_per_epoch=2)
+    result = training.train(cfg)
+    assert seen == [True] * 4
+    assert all(p.grad is None for p in result.system.parameters().values())

@@ -1,6 +1,8 @@
-"""Training-loop behavior at toy scale: staging, logging, determinism."""
+"""Training-loop behavior at toy scale: staging, logging, determinism, memory budget."""
 
 import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,9 @@ from ofdmlab.cae import TrainConfig, pipeline, train, training
 from ofdmlab.cae.model import hard_decisions
 from ofdmlab.cae.training import _EVAL_STREAM, LOG_HEADER, counter_rng, make_batch
 from ofdmlab.channel import noise_variance_for_psnr
+from ofdmlab.cli import train_config
+from ofdmlab.config import load_config
+from ofdmlab.errors import ConfigError
 from ofdmlab.modulation import symbols_to_bits
 
 
@@ -139,3 +144,43 @@ class TestEvaluateBer:
         assert len(recorded["new"]) == len(recorded["old"]) == 6   # sent + got per batch
         for a, b in zip(recorded["new"], recorded["old"]):
             assert np.array_equal(a, b)
+
+
+class TestMemoryBudget:
+    """The estimate that refuses a run too large for the host, before it allocates."""
+
+    @pytest.mark.parametrize("geometry", [
+        dict(n_tx=2, n_rx=2, n_subcarriers=16, oversample=4, mod_order=4, decoder_iterations=10),
+        dict(n_tx=2, n_rx=3, n_subcarriers=8, oversample=2, mod_order=16, decoder_iterations=2),
+    ], ids=["smoke", "2x3_16qam"])
+    def test_parameter_count_matches_built_system(self, geometry):
+        cfg = toy_config(channel_taps=4, **geometry)
+        system = training.build_from_config(cfg)
+        built = sum(p.values.size for p in system.parameters().values())
+        assert training._parameter_count(cfg) == built
+
+    def test_shipped_recipe_refused_on_8_gb(self, monkeypatch):
+        shipped = Path(__file__).resolve().parents[1] / "configs" / "train_16qam_4x4.cfg"
+        cfg = train_config(load_config(shipped))
+        assert training._training_bytes(cfg) > 12e9
+        with pytest.raises(ConfigError, match=r"needs about 13\.\d GB .* 8\.59 GB"):
+            training._check_memory(cfg, available=8 << 30)
+
+        def no_build(cfg):
+            raise AssertionError("the system was built")
+
+        monkeypatch.setattr(training, "_available_bytes", lambda: 8 << 30)
+        monkeypatch.setattr(training, "build_from_config", no_build)
+        with pytest.raises(ConfigError, match="needs about"):
+            train(cfg)
+
+    def test_smoke_estimate_near_traced_peak(self):
+        cfg = toy_config(n_subcarriers=16, oversample=4, decoder_iterations=10, batch_size=32,
+                         epochs=1, gradual_start_epoch=1, batches_per_epoch=1)
+        tracemalloc.start()
+        try:
+            train(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.7 * peak <= training._training_bytes(cfg) <= 1.3 * peak
