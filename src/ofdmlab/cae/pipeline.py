@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import DiffTensor, as_tensor, no_grad, reshape, tmean, transpose
+from ..config import RfConfig, SystemConfig
 from ..dsp import idft_oversampled
 from ..modulation import pam_levels, symbols_to_level_indices
 from ..rf import RappParams
@@ -74,20 +75,24 @@ class BatchResult:
 
 @dataclass
 class CaeSystem:
-    """The trainable transmitter/receiver pair plus its fixed RF settings."""
+    """The trainable transmitter/receiver pair plus the link it was built for.
+
+    ``geometry`` and ``rf`` are the ``[system]`` and ``[rf]`` values of that
+    link; the front end is always a RAPP amplifier with unit gain.
+    """
 
     encoder: EncoderNet
     decoder: DecoderNet
-    rapp: RappParams
-    ibo_db: float
-    oversample: int
-    n_subcarriers: int
-    mod_order: int
+    geometry: SystemConfig
+    rf: RfConfig
     acpr_req_db: float = -45.0
+    rapp: RappParams = field(init=False)
     bank: DftBank = field(init=False)
 
     def __post_init__(self):
-        self.bank = DftBank.build(self.oversample * self.n_subcarriers, self.n_subcarriers)
+        g = self.geometry
+        self.rapp = self.rf.rapp_params(g.n_tx)
+        self.bank = DftBank.build(g.oversample * g.n_subcarriers, g.n_subcarriers)
 
     @property
     def n_tx(self) -> int:
@@ -95,7 +100,7 @@ class CaeSystem:
 
     @property
     def n_levels(self) -> int:
-        return pam_levels(self.mod_order).size
+        return pam_levels(self.geometry.mod_order).size
 
     def parameters(self) -> dict[str, DiffTensor]:
         return {**self.encoder.parameters(), **self.decoder.parameters()}
@@ -106,13 +111,13 @@ class CaeSystem:
     def transmit(self, grids: np.ndarray, train: bool) -> dict:
         """Run the transmit side; returns the encoded, filtered and amplified tape pairs."""
         n_batch = grids.shape[0]
-        raw = idft_oversampled(grids, self.oversample)
+        raw = idft_oversampled(grids, self.geometry.oversample)
         enc_in = np.concatenate([raw.real, raw.imag], axis=2)
         enc_in = as_tensor(enc_in.reshape(n_batch, 1, self.n_tx, -1))
         encoded_rows = self.encoder.forward(enc_in, train)
         encoded = complexify_tensor(encoded_rows, axis=2)
         filtered = tape_bandpass(encoded, self.bank)
-        amplified = tape_rapp(tape_input_backoff(filtered, self.ibo_db, self.rapp), self.rapp)
+        amplified = tape_rapp(tape_input_backoff(filtered, self.rf.ibo_db, self.rapp), self.rapp)
         return {"encoded": encoded, "filtered": filtered, "amplified": amplified}
 
     def receive(self, amplified: CPair, filtered: CPair, h: np.ndarray,
@@ -165,11 +170,11 @@ class CaeSystem:
             stages = self.transmit(grids, train=False)
             logits, _ = self.receive(stages["amplified"], stages["filtered"],
                                      h, noise, start, train=False)
-        return hard_decisions(logits.values, self.mod_order)
+        return hard_decisions(logits.values, self.geometry.mod_order)
 
     def targets_for(self, grids: np.ndarray) -> np.ndarray:
         """Per-position level indices [B, n_tx, 2K]: real block then imag block."""
-        re_idx, im_idx = symbols_to_level_indices(grids, self.mod_order)
+        re_idx, im_idx = symbols_to_level_indices(grids, self.geometry.mod_order)
         return np.concatenate([re_idx, im_idx], axis=2)
 
 
@@ -185,6 +190,7 @@ def build_system(n_tx: int, n_rx: int, n_subcarriers: int, oversample: int,
                          rng=rng, init_scale=init_scale)
     decoder = DecoderNet(n_tx, n_rx, n_subcarriers, n_levels, iterations=iterations,
                          activation=activation, rng=rng, init_scale=init_scale)
-    rapp = RappParams.from_power_budget(total_power, n_tx, p=smoothness)
-    return CaeSystem(encoder, decoder, rapp, ibo_db, oversample, n_subcarriers,
-                     mod_order, acpr_req_db)
+    return CaeSystem(encoder, decoder,
+                     SystemConfig(n_tx, n_rx, n_subcarriers, oversample, mod_order),
+                     RfConfig(ibo_db=ibo_db, smoothness=smoothness, total_power=total_power),
+                     acpr_req_db)

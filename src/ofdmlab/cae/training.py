@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from ..autodiff import AdamW
 from ..autodiff.checkpoint import load_tensors, save_tensors
-from ..channel import Awgn, MultipathTaps, draw_channel, noise_variance_for_psnr
-from ..config import IBO_RANGE_DB, TOTAL_POWER_RANGE, TrainSection, check_range
+from ..channel import draw_channel, noise_variance_for_psnr
+from ..config import ChannelConfig, RfConfig, SystemConfig, TrainSection, check_link
 from ..csvio import write_csv
 from ..errors import ConfigError, NumericError
 from ..modulation import bit_errors, pam_levels, qam_alphabet
@@ -40,7 +40,7 @@ class TrainConfig(TrainSection):
     """The training recipe plus the link it trains for.
 
     The defaults are the full-scale recipe: 16-QAM 4x4 over the 13-tap
-    fading profile.
+    fading profile. :func:`config.check_link` checks the link.
     """
 
     n_tx: int = 4
@@ -57,13 +57,23 @@ class TrainConfig(TrainSection):
 
     def __post_init__(self):
         super().__post_init__()
-        check_range("ibo_db", self.ibo_db, IBO_RANGE_DB, " dB")
-        check_range("total_power", self.total_power, TOTAL_POWER_RANGE)
+        check_link(self.system, self.channel, self.rf, self.seed)
 
-    def channel_profile(self):
+    @property
+    def system(self) -> SystemConfig:
+        return SystemConfig(self.n_tx, self.n_rx, self.n_subcarriers, self.oversample,
+                            self.mod_order)
+
+    @property
+    def channel(self) -> ChannelConfig:
         if self.channel_taps == 0:
-            return Awgn()
-        return MultipathTaps(self.channel_taps, self.channel_decay)
+            return ChannelConfig("awgn")
+        return ChannelConfig("multipath", self.channel_taps, self.channel_decay)
+
+    @property
+    def rf(self) -> RfConfig:
+        """The front end the CAE trains through: a RAPP amplifier with unit gain."""
+        return RfConfig("rapp", self.ibo_db, self.smoothness, 1.0, self.total_power)
 
 
 @dataclass
@@ -93,7 +103,7 @@ def make_batch(rng: np.random.Generator, cfg: TrainConfig, sigma_w2: float,
     alphabet = qam_alphabet(cfg.mod_order)
     idx = rng.integers(0, alphabet.size, size=(n, cfg.n_tx, cfg.n_subcarriers))
     grids = alphabet[idx]
-    profile = cfg.channel_profile()
+    profile = cfg.channel.model()
     h = np.stack([
         draw_channel(rng, cfg.n_subcarriers, cfg.n_tx, cfg.n_rx, profile).h
         for _ in range(n)
@@ -105,8 +115,7 @@ def make_batch(rng: np.random.Generator, cfg: TrainConfig, sigma_w2: float,
 
 
 def build_from_config(cfg: TrainConfig) -> CaeSystem:
-    return build_system(cfg.n_tx, cfg.n_rx, cfg.n_subcarriers, cfg.oversample,
-                        cfg.mod_order, cfg.ibo_db, total_power=cfg.total_power,
+    return build_system(**asdict(cfg.system), ibo_db=cfg.ibo_db, total_power=cfg.total_power,
                         smoothness=cfg.smoothness, acpr_req_db=cfg.acpr_req_db,
                         iterations=cfg.decoder_iterations, activation=cfg.activation,
                         init_scale=cfg.init_scale, seed=cfg.seed)
@@ -232,19 +241,11 @@ def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
 
 def save_system(path, system: CaeSystem, cfg: TrainConfig):
     """Serialize parameters, batch-norm buffers, and rebuild metadata."""
-    tensors: dict[str, np.ndarray] = {
-        "meta/n_tx": np.array(float(cfg.n_tx)),
-        "meta/n_rx": np.array(float(cfg.n_rx)),
-        "meta/n_subcarriers": np.array(float(cfg.n_subcarriers)),
-        "meta/oversample": np.array(float(cfg.oversample)),
-        "meta/mod_order": np.array(float(cfg.mod_order)),
-        "meta/decoder_iterations": np.array(float(cfg.decoder_iterations)),
-        "meta/activation": np.array(float(ACTIVATION_CODES[cfg.activation])),
-        "meta/ibo_db": np.array(float(cfg.ibo_db)),
-        "meta/total_power": np.array(float(cfg.total_power)),
-        "meta/smoothness": np.array(float(cfg.smoothness)),
-        "meta/acpr_req_db": np.array(float(cfg.acpr_req_db)),
-    }
+    meta = {**asdict(cfg.system), "decoder_iterations": cfg.decoder_iterations,
+            "activation": ACTIVATION_CODES[cfg.activation], "ibo_db": cfg.ibo_db,
+            "total_power": cfg.total_power, "smoothness": cfg.smoothness,
+            "acpr_req_db": cfg.acpr_req_db}
+    tensors = {f"meta/{name}": np.array(float(value)) for name, value in meta.items()}
     for name, p in system.parameters().items():
         tensors[name] = p.values
     for name, buf in system.buffers().items():
@@ -263,8 +264,7 @@ def load_system(path) -> CaeSystem:
         meta = {k.split("/", 1)[1]: float(v) for k, v in tensors.items() if k.startswith("meta/")}
         activation = {v: k for k, v in ACTIVATION_CODES.items()}[int(meta["activation"])]
         system = build_system(
-            int(meta["n_tx"]), int(meta["n_rx"]), int(meta["n_subcarriers"]),
-            int(meta["oversample"]), int(meta["mod_order"]), meta["ibo_db"],
+            **{f.name: int(meta[f.name]) for f in fields(SystemConfig)}, ibo_db=meta["ibo_db"],
             total_power=meta["total_power"], smoothness=meta["smoothness"],
             acpr_req_db=meta["acpr_req_db"], iterations=int(meta["decoder_iterations"]),
             activation=activation)
@@ -289,6 +289,8 @@ def evaluate_ber(system: CaeSystem, cfg: TrainConfig, p_snr_db: float,
     Frames go through :meth:`CaeSystem.detect` 32 at a time, each batch
     drawn from its own stream: symbols, channel, noise, decoder start.
     """
+    if n_frames < 1:
+        raise ConfigError("n_frames must be >= 1")
     sigma_w2 = noise_variance_for_psnr(p_snr_db, cfg.total_power)
     errors = 0
     total = 0

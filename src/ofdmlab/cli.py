@@ -15,7 +15,8 @@ import time
 from dataclasses import asdict
 from pathlib import Path
 
-from .config import ExperimentConfig, check_seed, load_config, with_overrides
+from .config import (ExperimentConfig, changed_fields, check_link, check_seed, load_config,
+                     with_overrides)
 from .errors import ConfigError, NumericError
 
 
@@ -81,11 +82,12 @@ def _check_out(out) -> None:
 def train_config(cfg: ExperimentConfig):
     """The TrainConfig an experiment file's [system], [channel], [rf] and [train] describe."""
     from .cae.training import TrainConfig
-    s = cfg.system
+    # The flat fields cannot hold every section value (multipath with 0 taps
+    # reads as AWGN; the amplifier and its gain are fixed), so the sections
+    # are checked as written first.
+    check_link(cfg.system, cfg.channel, cfg.rf, cfg.run.seed)
     return TrainConfig(
-        **asdict(cfg.train),
-        n_tx=s.n_tx, n_rx=s.n_rx, n_subcarriers=s.n_subcarriers,
-        oversample=s.oversample, mod_order=s.mod_order,
+        **asdict(cfg.train), **asdict(cfg.system),
         channel_taps=0 if cfg.channel.profile == "awgn" else cfg.channel.taps,
         channel_decay=cfg.channel.decay, ibo_db=cfg.rf.ibo_db,
         total_power=cfg.rf.total_power, smoothness=cfg.rf.smoothness, seed=cfg.run.seed)
@@ -100,6 +102,10 @@ def _cmd_train(args) -> int:
     from .cae.training import train
     cfg = _load(args)
     train_cfg = train_config(cfg)
+    differ = changed_fields(train_cfg.rf, cfg.rf)
+    if differ:
+        raise ConfigError("the CAE trains through a RAPP amplifier with small_signal_gain = 1, "
+                          "not the config's [rf]: " + ", ".join(differ))
     out = Path(cfg.run.out) if cfg.run.out else Path("cae_checkpoint.bin")
     log_path = out.with_suffix(".log.csv")
     start = time.perf_counter()

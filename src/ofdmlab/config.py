@@ -15,7 +15,9 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .autodiff import ACTIVATIONS
+from .channel import Awgn, MultipathTaps
 from .errors import ConfigError
+from .rf import RappParams
 
 
 # Input back-off range, dB. Far outside it the back-off drives the frame
@@ -76,6 +78,12 @@ class ChannelConfig:
     taps: int = 13
     decay: float | None = None
 
+    def model(self):
+        """The channel profile :func:`channel.draw_channel` draws from."""
+        if self.profile == "awgn":
+            return Awgn()
+        return MultipathTaps(self.taps, self.decay)
+
 
 @dataclass(frozen=True)
 class RfConfig:
@@ -84,6 +92,48 @@ class RfConfig:
     smoothness: float = 2.0
     small_signal_gain: float = 1.0
     total_power: float = 1.0
+
+    def rapp_params(self, n_tx: int) -> RappParams:
+        """The RAPP amplifier of each of ``n_tx`` antennas, sharing ``total_power``."""
+        return RappParams.from_power_budget(self.total_power, n_tx,
+                                            v=self.small_signal_gain, p=self.smoothness)
+
+
+def check_link(system: SystemConfig, channel: ChannelConfig, rf: RfConfig, seed: int) -> None:
+    """ConfigError unless the link (geometry, channel, front end, seed) is one the chain can run.
+
+    Experiments and training both describe their link this way, so a bad
+    value is refused with the same message on either path.
+    """
+    if system.n_tx < 1 or system.n_rx < 1 or system.n_subcarriers < 1 or system.oversample < 1:
+        raise ConfigError("system dimensions must be positive")
+    if system.mod_order not in (4, 16):
+        raise ConfigError("mod_order must be 4 or 16")
+    if channel.profile not in ("awgn", "multipath"):
+        raise ConfigError(f"unknown channel profile {channel.profile!r}")
+    if channel.profile == "awgn" and system.n_rx != system.n_tx:
+        raise ConfigError("the awgn profile requires n_rx == n_tx")
+    if channel.profile == "multipath" and not 1 <= channel.taps <= system.n_subcarriers:
+        raise ConfigError(f"taps must be between 1 and n_subcarriers ({system.n_subcarriers})")
+    decay = channel.decay
+    if channel.profile == "multipath" and decay is not None and not 0.0 < decay <= 1.0:
+        raise ConfigError(f"decay must lie within (0, 1], got {decay!r}")
+    if rf.amplifier not in ("rapp", "linear"):
+        raise ConfigError(f"unknown amplifier {rf.amplifier!r}")
+    check_range("ibo_db", rf.ibo_db, IBO_RANGE_DB, " dB")
+    check_range("total_power", rf.total_power, TOTAL_POWER_RANGE)
+    # The RAPP gain squares v and raises power ratios to the power p. Far
+    # outside these ranges it overflows (v = 1e300; p = 100 with v = 1e6)
+    # or its output underflows to zero (p = 1e-4).
+    check_range("smoothness", rf.smoothness, (0.1, 20.0))
+    check_range("small_signal_gain", rf.small_signal_gain, (0.01, 100.0))
+    check_seed(seed)
+
+
+def changed_fields(recorded, wanted) -> list[str]:
+    """Names of the fields in which two values of one dataclass differ."""
+    return [f.name for f in fields(recorded)
+            if getattr(recorded, f.name) != getattr(wanted, f.name)]
 
 
 @dataclass(frozen=True)
@@ -160,29 +210,7 @@ class ExperimentConfig:
     run: RunConfig = field(default_factory=RunConfig)
 
     def validated(self) -> "ExperimentConfig":
-        sys = self.system
-        if sys.n_tx < 1 or sys.n_rx < 1 or sys.n_subcarriers < 1 or sys.oversample < 1:
-            raise ConfigError("system dimensions must be positive")
-        if sys.mod_order not in (4, 16):
-            raise ConfigError("mod_order must be 4 or 16")
-        if self.channel.profile not in ("awgn", "multipath"):
-            raise ConfigError(f"unknown channel profile {self.channel.profile!r}")
-        if self.channel.profile == "awgn" and sys.n_rx != sys.n_tx:
-            raise ConfigError("the awgn profile requires n_rx == n_tx")
-        if self.channel.profile == "multipath" and not 1 <= self.channel.taps <= sys.n_subcarriers:
-            raise ConfigError(f"taps must be between 1 and n_subcarriers ({sys.n_subcarriers})")
-        decay = self.channel.decay
-        if self.channel.profile == "multipath" and decay is not None and not 0.0 < decay <= 1.0:
-            raise ConfigError(f"decay must lie within (0, 1], got {decay!r}")
-        if self.rf.amplifier not in ("rapp", "linear"):
-            raise ConfigError(f"unknown amplifier {self.rf.amplifier!r}")
-        check_range("ibo_db", self.rf.ibo_db, IBO_RANGE_DB, " dB")
-        check_range("total_power", self.rf.total_power, TOTAL_POWER_RANGE)
-        # The RAPP gain squares v and raises power ratios to the power p. Far
-        # outside these ranges it overflows (v = 1e300; p = 100 with v = 1e6)
-        # or its output underflows to zero (p = 1e-4).
-        check_range("smoothness", self.rf.smoothness, (0.1, 20.0))
-        check_range("small_signal_gain", self.rf.small_signal_gain, (0.01, 100.0))
+        check_link(self.system, self.channel, self.rf, self.run.seed)
         if self.method.name not in ("none", "cf", "slm", "cae"):
             raise ConfigError(f"unknown method {self.method.name!r}")
         check_range("clip_ratio_db", self.method.clip_ratio_db, CLIP_RATIO_RANGE_DB, " dB")
@@ -192,7 +220,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown detector {self.detector!r}")
         if (self.detector == "cae") != (self.method.name == "cae"):
             raise ConfigError("the cae detector pairs exactly with the cae method")
-        check_seed(self.run.seed)
         if self.run.frames < 1:
             raise ConfigError("frames must be >= 1")
         for p_snr_db in self.run.p_snr_db:

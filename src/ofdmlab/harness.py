@@ -21,15 +21,13 @@ from .autodiff.gradcheck import CheckResult, run_all
 from .cae import losses as cae_losses
 from .cae import pipeline as cae_pipeline
 from .cae.training import load_system
-from .channel import (Awgn, MultipathTaps, apply_channel, draw_channel,
-                      noise_variance_for_psnr)
-from .config import ExperimentConfig
+from .channel import MultipathTaps, apply_channel, draw_channel, noise_variance_for_psnr
+from .config import ExperimentConfig, changed_fields
 from .csvio import write_csv
 from .dsp import dft_unpad, estimate_psd, idft_oversampled, papr_mimo
 from .errors import ConfigError, NumericError
 from .modulation import OfdmGrid, bit_errors, qam_alphabet
-from .rf import (RappParams, acpr, apply_ibo, bandpass_filter, bussgang_alpha, obo,
-                 rapp_amplify)
+from .rf import acpr, apply_ibo, bandpass_filter, bussgang_alpha, obo, rapp_amplify
 
 BER_HEADER = ["p_snr_db", "ber", "bit_count", "stderr"]
 CCDF_HEADER = ["papr0_db", "ccdf"]
@@ -60,18 +58,6 @@ def frame_rng(seed: int, frame_index: int, point_index: int = 0) -> np.random.Ge
         np.random.Philox(key=seed, counter=[0, 0, frame_index, point_index + 2]))
 
 
-def _channel_profile(cfg: ExperimentConfig):
-    if cfg.channel.profile == "awgn":
-        return Awgn()
-    return MultipathTaps(cfg.channel.taps, cfg.channel.decay)
-
-
-def _rapp_params(cfg: ExperimentConfig) -> RappParams:
-    return RappParams.from_power_budget(cfg.rf.total_power, cfg.system.n_tx,
-                                        v=cfg.rf.small_signal_gain,
-                                        p=cfg.rf.smoothness)
-
-
 class _FrameChain:
     """Per-run state shared by all frames: codebook, amplifier, detector, checkpoint.
 
@@ -83,8 +69,8 @@ class _FrameChain:
     def __init__(self, cfg: ExperimentConfig):
         cfg.validated()
         self.cfg = cfg
-        self.params = _rapp_params(cfg)
-        self.profile = _channel_profile(cfg)
+        self.params = cfg.rf.rapp_params(cfg.system.n_tx)
+        self.profile = cfg.channel.model()
         self.book = None
         self.system = None
         self.detect = None
@@ -100,19 +86,11 @@ class _FrameChain:
             if not cfg.method.checkpoint:
                 raise ConfigError("the cae method needs a checkpoint path")
             self.system = load_system(cfg.method.checkpoint)
-            sys_cfg = cfg.system
-            if (self.system.n_tx != sys_cfg.n_tx
-                    or self.system.decoder.n_rx != sys_cfg.n_rx
-                    or self.system.n_subcarriers != sys_cfg.n_subcarriers
-                    or self.system.oversample != sys_cfg.oversample
-                    or self.system.mod_order != sys_cfg.mod_order):
+            if self.system.geometry != cfg.system:
                 raise ConfigError("checkpoint geometry does not match the config")
             # one transmitter: BER runs through the checkpoint's amplifier,
             # the spectral paths through the config's [rf]
-            differ = [name for name, same in (
-                ("ibo_db", self.system.ibo_db == cfg.rf.ibo_db),
-                ("total_power", self.system.rapp.a0 == self.params.a0),
-                ("smoothness", self.system.rapp.p == self.params.p)) if not same]
+            differ = changed_fields(self.system.rf, cfg.rf)
             if differ:
                 raise ConfigError("checkpoint RF settings do not match the config's [rf]: "
                                   + ", ".join(differ))
@@ -350,9 +328,9 @@ def run_acpr_obo(cfg_list: list[ExperimentConfig], out=None) -> str:
     return _write_finite(out, ACPR_OBO_HEADER, rows)
 
 
-def run_gradcheck(seed: int = 0, corrupt: str | None = None) -> tuple[list[CheckResult], bool]:
+def run_gradcheck(seed: int = 0) -> tuple[list[CheckResult], bool]:
     """Layer checks plus the end-to-end pipeline check; True when all pass."""
-    results = run_all(seed=seed, corrupt=corrupt)
+    results = run_all(seed=seed)
     results.append(end_to_end_gradcheck(seed))
     return results, all(r.passed for r in results)
 

@@ -281,8 +281,8 @@ class TestGradcheckHarness:
         for r in results:
             assert r.passed, f"{r.name}: {r.max_relative_error}"
 
-    def test_corrupted_backward_detected(self):
-        results = run_all(seed=123, corrupt="conv2d")
+    def test_corrupted_backward_detected(self, biased_conv2d):
+        results = run_all(seed=123)
         conv = [r for r in results if r.name == "conv2d"][0]
         assert not conv.passed
 

@@ -24,15 +24,15 @@ def small_system(seed=0, **kwargs):
 
 
 def random_batch(rng, system, n_batch=4, sigma_w2=1e-4):
-    alphabet = ol.qam_alphabet(system.mod_order)
-    idx = rng.integers(0, alphabet.size, size=(n_batch, system.n_tx, system.n_subcarriers))
+    g = system.geometry
+    alphabet = ol.qam_alphabet(g.mod_order)
+    idx = rng.integers(0, alphabet.size, size=(n_batch, g.n_tx, g.n_subcarriers))
     grids = alphabet[idx]
     h = np.stack([
-        ol.draw_channel(rng, system.n_subcarriers, system.n_tx,
-                        system.decoder.n_rx, ol.Awgn()).h
+        ol.draw_channel(rng, g.n_subcarriers, g.n_tx, g.n_rx, ol.Awgn()).h
         for _ in range(n_batch)
     ])
-    shape = (n_batch, system.n_subcarriers, system.decoder.n_rx)
+    shape = (n_batch, g.n_subcarriers, g.n_rx)
     noise = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(sigma_w2 / 2)
     return grids, h, noise
 
@@ -65,7 +65,7 @@ class TestEncoder:
         for tensor in (enc.conv_w[1], enc.conv_b[1], enc.conv_w[2], enc.conv_b[2]):
             tensor.values[...] = 0.0
         grids, _, _ = random_batch(rng, system, n_batch=3)
-        raw = ol.idft_oversampled(grids, system.oversample)
+        raw = ol.idft_oversampled(grids, system.geometry.oversample)
         enc_in = np.concatenate([raw.real, raw.imag], axis=2)[:, None, :, :]
 
         from ofdmlab.autodiff import conv2d, linear, reshape, selu, transpose, tsum

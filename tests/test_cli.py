@@ -350,15 +350,31 @@ BAD_RECIPES = {   # [train] lines -> words of the message
 
 
 class TestBadTrainingRecipe:
-    def test_run_larger_than_memory_refused(self, cfg_file, tmp_path, capsys, monkeypatch):
+    def test_run_larger_than_memory_refused(self, tmp_path, capsys, monkeypatch):
         import ofdmlab.cae.training as training
         _refuse_frames(monkeypatch)
         monkeypatch.setattr(training, "_available_bytes", lambda: 1 << 20)
         out = tmp_path / "model.bin"
-        assert main(["train", "--config", str(cfg_file), "--out", str(out)]) == 1
+        path = tmp_path / "train.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp"))
+        assert main(["train", "--config", str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: training needs about ")
         assert err[0].endswith("but 0.00105 GB is available")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line,key", [("amplifier = linear", "amplifier"),
+                                          ("small_signal_gain = 2", "small_signal_gain")])
+    def test_front_end_other_than_unit_gain_rapp_refused(self, tmp_path, capsys, monkeypatch,
+                                                         line, key):
+        _refuse_frames(monkeypatch)
+        out = tmp_path / "model.bin"
+        path = tmp_path / "train.cfg"
+        path.write_text(BASE.replace("amplifier = linear", line) + f"out = {out}\n")
+        assert main(["train", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["config error: the CAE trains through a RAPP amplifier with "
+                       f"small_signal_gain = 1, not the config's [rf]: {key}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("lines", sorted(BAD_RECIPES))
@@ -433,16 +449,18 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err.splitlines()
         assert err == ["config error: checkpoint geometry does not match the config"]
 
-    @pytest.mark.parametrize("command", ["ber", "psd"])
+    @pytest.mark.parametrize("command", ["ber", "psd", "acpr-obo"])
     @pytest.mark.parametrize("line,key", [("ibo_db = 3", "ibo_db"),
                                           ("total_power = 2", "total_power"),
-                                          ("smoothness = 3", "smoothness")])
+                                          ("smoothness = 3", "smoothness"),
+                                          ("amplifier = linear", "amplifier"),
+                                          ("small_signal_gain = 2", "small_signal_gain")])
     def test_rf_mismatch_refused(self, tmp_path, capsys, monkeypatch, command, line, key):
         _refuse_frames(monkeypatch)
         checkpoint = tmp_path / "cae.bin"
-        _small_checkpoint(checkpoint)                    # IBO 6 dB, power 1, smoothness 2
+        _small_checkpoint(checkpoint)        # RAPP, IBO 6 dB, power 1, smoothness 2, gain 1
         path = tmp_path / "cae.cfg"
-        path.write_text(BASE.replace("amplifier = linear", f"amplifier = rapp\n{line}")
+        path.write_text(BASE.replace("amplifier = linear", line)
                         + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
                         "[detector]\nname = cae\n")
         assert main([command, "--config", str(path)]) == 1
@@ -454,7 +472,8 @@ class TestBadCheckpoint:
         checkpoint = tmp_path / "cae.bin"
         _small_checkpoint(checkpoint)
         path = tmp_path / "cae.cfg"
-        path.write_text(BASE + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp")
+                        + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
                                "[detector]\nname = cae\n")
         assert main(["ber", "--config", str(path), "--frames", "2",
                      "--out", str(tmp_path / "ber.csv")]) == 0

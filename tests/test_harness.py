@@ -277,7 +277,8 @@ class TestGradcheckCommand:
         assert "conv2d" in names and "end_to_end" in names
         assert ok
 
-    def test_negative_control(self):
+    def test_negative_control(self, biased_conv2d):
         from ofdmlab.harness import run_gradcheck
-        results, ok = run_gradcheck(seed=1, corrupt="conv2d")
+        results, ok = run_gradcheck(seed=1)
         assert not ok
+        assert not [r for r in results if r.name == "conv2d"][0].passed

@@ -18,7 +18,9 @@ from ofdmlab import harness  # noqa: E402
 from ofdmlab.cae import training  # noqa: E402
 from ofdmlab.cae.pipeline import build_system  # noqa: E402
 from ofdmlab.cli import main, train_config  # noqa: E402
-from ofdmlab.config import TrainSection, parse_config  # noqa: E402
+from ofdmlab.config import (_SCHEMA, ChannelConfig, ExperimentConfig, RfConfig,  # noqa: E402
+                            RunConfig, SystemConfig, TrainSection, changed_fields,
+                            parse_config)
 from ofdmlab.errors import ConfigError  # noqa: E402
 
 SYSTEM = ("[system]\nn_tx = 2\nn_rx = 2\nn_subcarriers = 16\noversample = 4\nmod_order = 4\n"
@@ -74,6 +76,8 @@ TRANSMIT_RUNS = {
 def test_transmit_csv_independent_of_block_and_workers(configs, run, method, amplifier,
                                                        seed, frames, block, workers):
     cfg = configs["cae" if method == "cae" else "zf"]
+    if method == "cae":
+        amplifier = "rapp"                # the CAE runs the RAPP front end it was built with
     if run == "ccdf":
         frames += 99                      # the CCDF needs at least 100 frames
     cfg = replace(cfg, method=replace(cfg.method, name=method),
@@ -165,17 +169,22 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, command, config, gro
 
 # -- config-value fuzzing ------------------------------------------------------
 
-FUZZ_SYSTEM = ("[system]\nn_tx = 2\nn_rx = 2\nn_subcarriers = 16\noversample = 4\n"
-               "mod_order = 4\n")
+FUZZ_SYSTEM = {"n_tx": "2", "n_rx": "2", "n_subcarriers": "16", "oversample": "4",
+               "mod_order": "4"}
 FUZZ_FLOATS = st.one_of(
     st.sampled_from(["0", "-0", "-1", "0.5", "1", "2", "nan", "inf", "-inf", "1e300",
                      "-1e300", "1e-300", "1e400", "5e-324"]),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
 )
 FUZZ_FLOAT_LISTS = st.lists(FUZZ_FLOATS, min_size=1, max_size=3).map(", ".join)
-# Sizes that ask for work (slm_candidates, workers) stay small: a huge one is
+# Sizes that ask for work ([system], slm_candidates, workers) stay small: a huge one is
 # a request for memory or threads, not a numeric value to survive.
 CONFIG_VALUES = {
+    ("system", "n_tx"): st.sampled_from(["-1", "0", "1", "2", "3"]),
+    ("system", "n_rx"): st.sampled_from(["-1", "0", "1", "2", "3"]),
+    ("system", "n_subcarriers"): st.sampled_from(["-1", "0", "1", "4", "16"]),
+    ("system", "oversample"): st.sampled_from(["0", "1", "2", "4"]),
+    ("system", "mod_order"): st.sampled_from(["2", "4", "8", "16"]),
     ("channel", "profile"): st.sampled_from(["awgn", "multipath", "rician"]),
     ("channel", "taps"): st.sampled_from(["-1", "0", "1", "4", "16", "17", str(10 ** 6)]),
     ("channel", "decay"): FUZZ_FLOATS,
@@ -198,14 +207,13 @@ CONFIG_VALUES = {
 @given(command=st.sampled_from(["ber", "ccdf"]),
        values=st.fixed_dictionaries({}, optional=CONFIG_VALUES))
 def test_config_values_exit_with_a_documented_code(tmp_path_factory, command, values):
-    """Any [channel], [rf], [method], [run] values: exit 0, 1 or 2 with one line, no
-    traceback, and a written CSV holds only finite numbers."""
+    """Any [system], [channel], [rf], [method], [run] values: exit 0, 1 or 2 with one
+    line, no traceback, and a written CSV holds only finite numbers. The link
+    values get the same verdict from cli.train_config as from parse_config."""
     run_dir = tmp_path_factory.mktemp("values")
-    sections: dict[str, list[str]] = {}
-    for (section, key), value in values.items():
-        sections.setdefault(section, []).append(f"{key} = {value}\n")
-    text = FUZZ_SYSTEM + "".join(f"[{name}]\n" + "".join(lines)
-                                 for name, lines in sections.items())
+    values = {**{("system", key): value for key, value in FUZZ_SYSTEM.items()}, **values}
+    text = _config_text(values)
+    _check_train_config_verdict(values)
     (run_dir / "fuzz.cfg").write_text(text)
     out_csv = run_dir / "out.csv"
     argv = [command, "--config", str(run_dir / "fuzz.cfg"), "--out", str(out_csv),
@@ -222,3 +230,38 @@ def test_config_values_exit_with_a_documented_code(tmp_path_factory, command, va
     else:
         rows = [line.split(",") for line in out_csv.read_text().splitlines()[1:]]
         assert rows and all(math.isfinite(float(v)) for row in rows for v in row), text
+
+
+def _config_text(values: dict) -> str:
+    sections: dict[str, str] = {}
+    for (section, key), value in values.items():
+        sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+    return "".join(f"[{name}]\n{lines}" for name, lines in sections.items())
+
+
+LINK_SECTIONS = {"system": SystemConfig, "channel": ChannelConfig, "rf": RfConfig}
+
+
+def _check_train_config_verdict(values: dict):
+    """cli.train_config refuses the link with parse_config's message, or maps it intact."""
+    link = {k: v for k, v in values.items() if k[0] in LINK_SECTIONS or k == ("run", "seed")}
+    try:
+        parsed = parse_config(_config_text(link))
+        expected = None
+    except ConfigError as exc:
+        expected = str(exc)
+    fields_of = {name: {} for name in (*LINK_SECTIONS, "run")}
+    for (section, key), value in link.items():
+        fields_of[section][key] = _SCHEMA[section][1][key](value)
+    unchecked = ExperimentConfig(
+        **{name: kind(**fields_of[name]) for name, kind in LINK_SECTIONS.items()},
+        run=RunConfig(**fields_of["run"]))
+    try:
+        built = train_config(unchecked)
+    except ConfigError as exc:
+        assert str(exc) == expected, values
+        return
+    assert expected is None, values
+    assert built.system == parsed.system
+    assert built.channel.model() == parsed.channel.model()
+    assert set(changed_fields(built.rf, parsed.rf)) <= {"amplifier", "small_signal_gain"}

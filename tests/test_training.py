@@ -14,7 +14,7 @@ from ofdmlab.cae.model import hard_decisions
 from ofdmlab.cae.training import _EVAL_STREAM, LOG_HEADER, counter_rng, make_batch
 from ofdmlab.channel import noise_variance_for_psnr
 from ofdmlab.cli import train_config
-from ofdmlab.config import load_config
+from ofdmlab.config import load_config, parse_config
 from ofdmlab.errors import ConfigError
 from ofdmlab.modulation import symbols_to_bits
 
@@ -144,6 +144,52 @@ class TestEvaluateBer:
         assert len(recorded["new"]) == len(recorded["old"]) == 6   # sent + got per batch
         for a, b in zip(recorded["new"], recorded["old"]):
             assert np.array_equal(a, b)
+
+
+    def test_no_frames_refused_before_any_draw(self, monkeypatch):
+        cfg = toy_config()
+        system = training.build_from_config(cfg)
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(training, "make_batch", no_draws)
+        with pytest.raises(ConfigError, match="n_frames must be >= 1"):
+            training.evaluate_ber(system, cfg, 10.0, 0, seed=1)
+
+
+# The link of TrainConfig's defaults, as config-file values.
+LINK_DEFAULTS = {("system", "n_tx"): 4, ("system", "n_rx"): 4, ("system", "n_subcarriers"): 72,
+                 ("system", "oversample"): 4, ("system", "mod_order"): 16,
+                 ("channel", "profile"): "multipath", ("channel", "taps"): 13}
+# TrainConfig values that train() used to accept and then crash on, with the
+# config-file values of the same link: name -> (TrainConfig keywords, values).
+BAD_LINKS = {
+    "awgn_n_rx": (dict(channel_taps=0, n_rx=3),
+                  {("channel", "profile"): "awgn", ("system", "n_rx"): 3}),
+    "seed": (dict(seed=-1), {("run", "seed"): -1}),
+    "smoothness": (dict(smoothness=0.0), {("rf", "smoothness"): 0.0}),
+    "mod_order": (dict(mod_order=8), {("system", "mod_order"): 8}),
+    "taps_over_k": (dict(n_subcarriers=8, channel_taps=20),
+                    {("system", "n_subcarriers"): 8, ("channel", "taps"): 20}),
+    "decay": (dict(channel_decay=2.0), {("channel", "decay"): 2.0}),
+    "no_subcarriers": (dict(n_subcarriers=0), {("system", "n_subcarriers"): 0}),
+}
+
+
+class TestLinkCheck:
+    @pytest.mark.parametrize("name", sorted(BAD_LINKS))
+    def test_refused_with_the_config_files_message(self, name):
+        kwargs, values = BAD_LINKS[name]
+        sections: dict[str, str] = {}
+        for (section, key), value in {**LINK_DEFAULTS, **values}.items():
+            sections[section] = sections.get(section, "") + f"{key} = {value}\n"
+        text = "".join(f"[{section}]\n{lines}" for section, lines in sections.items())
+        with pytest.raises(ConfigError) as from_file:
+            parse_config(text)
+        with pytest.raises(ConfigError) as from_train_config:
+            TrainConfig(**kwargs)
+        assert str(from_train_config.value) == str(from_file.value)
 
 
 class TestMemoryBudget:
