@@ -58,6 +58,9 @@ class TrainConfig(TrainSection):
     def __post_init__(self):
         super().__post_init__()
         check_link(self.system, self.channel, self.rf, self.seed)
+        if self.oversample < 2:
+            raise ConfigError("training needs oversample >= 2: the ACPR loss measures "
+                              "the adjacent bands in the guard band")
 
     @property
     def system(self) -> SystemConfig:

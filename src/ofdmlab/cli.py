@@ -12,11 +12,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from .config import (ExperimentConfig, changed_fields, check_link, check_seed, load_config,
-                     with_overrides)
+from .config import (ExperimentConfig, RunConfig, changed_fields, check_link, check_seed,
+                     load_config, with_overrides)
 from .errors import ConfigError, NumericError
 
 
@@ -36,31 +36,36 @@ def _build_parser() -> argparse.ArgumentParser:
         description="MIMO-OFDM waveform experiments: training, BER, PAPR CCDF, spectra.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_config=True):
-        if needs_config:
-            p.add_argument("--config", required=True, help="experiment config file")
+    def add_overrides(p, run_size=True):
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--out", default=None, help="output file override")
-        p.add_argument("--frames", type=int, default=None, help="frames per point override")
-        p.add_argument("--workers", type=int, default=None, help="worker thread count")
+        if run_size:
+            p.add_argument("--frames", type=int, default=None, help="frames per point override")
+            p.add_argument("--workers", type=int, default=None, help="worker thread count")
 
-    add_common(sub.add_parser("train", help="train the autoencoder system"))
-    add_common(sub.add_parser("ber", help="bit error rate over the peak-SNR grid"))
-    add_common(sub.add_parser("ccdf", help="PAPR exceedance curve"))
-    add_common(sub.add_parser("psd", help="averaged amplifier-output spectrum"))
+    for name, text in (("train", "train the autoencoder system"),
+                       ("ber", "bit error rate over the peak-SNR grid"),
+                       ("ccdf", "PAPR exceedance curve"),
+                       ("psd", "averaged amplifier-output spectrum")):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", required=True, help="experiment config file")
+        add_overrides(p, run_size=name != "train")   # a training run's size is its [train]
     acpr_p = sub.add_parser("acpr-obo", help="ACPR/OBO table over several configs")
     acpr_p.add_argument("--config", required=True, nargs="+",
                         help="one or more experiment config files")
-    add_common(acpr_p, needs_config=False)
+    add_overrides(acpr_p)
     grad_p = sub.add_parser("gradcheck", help="finite-difference verification")
     grad_p.add_argument("--seed", type=int, default=0)
     return parser
 
 
+def _overrides(args) -> dict:
+    """The [run] values the command line sets: each option named after a [run] key."""
+    return {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+
+
 def _load(args) -> ExperimentConfig:
-    cfg = load_config(args.config)
-    cfg = with_overrides(cfg, seed=args.seed, frames=args.frames,
-                         out=args.out, workers=args.workers)
+    cfg = with_overrides(load_config(args.config), **_overrides(args))
     _check_out(cfg.run.out)
     return cfg
 
@@ -126,43 +131,23 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _cmd_ber(args) -> int:
-    from .harness import run_ber
+def _cmd_experiment(args) -> int:
+    """ber, ccdf or psd: the CSV goes to stdout unless [run] out names a file."""
+    from . import harness
     cfg = _load(args)
-    text, records = run_ber(cfg)
+    result = getattr(harness, f"run_{args.command}")(cfg)
+    text = result if args.command == "psd" else result[0]
     if cfg.run.out is None:
         sys.stdout.write(text)
-    for r in records:
-        print(f"p_snr={r.x:6.2f} dB  ber={r.y:.6g}  bits={r.count}", file=sys.stderr)
-    return 0
-
-
-def _cmd_ccdf(args) -> int:
-    from .harness import run_ccdf
-    cfg = _load(args)
-    text, _ = run_ccdf(cfg)
-    if cfg.run.out is None:
-        sys.stdout.write(text)
-    return 0
-
-
-def _cmd_psd(args) -> int:
-    from .harness import run_psd
-    cfg = _load(args)
-    text = run_psd(cfg)
-    if cfg.run.out is None:
-        sys.stdout.write(text)
+    if args.command == "ber":
+        for r in result[1]:
+            print(f"p_snr={r.x:6.2f} dB  ber={r.y:.6g}  bits={r.count}", file=sys.stderr)
     return 0
 
 
 def _cmd_acpr_obo(args) -> int:
     from .harness import run_acpr_obo
-    cfgs = []
-    for path in args.config:
-        cfg = load_config(path)
-        cfg = with_overrides(cfg, seed=args.seed, frames=args.frames,
-                             workers=args.workers)
-        cfgs.append(cfg)
+    cfgs = [with_overrides(load_config(path), **_overrides(args)) for path in args.config]
     _check_out(args.out)
     text = run_acpr_obo(cfgs, out=args.out)
     if args.out is None:
@@ -185,9 +170,9 @@ def _cmd_gradcheck(args) -> int:
 
 _COMMANDS = {
     "train": _cmd_train,
-    "ber": _cmd_ber,
-    "ccdf": _cmd_ccdf,
-    "psd": _cmd_psd,
+    "ber": _cmd_experiment,
+    "ccdf": _cmd_experiment,
+    "psd": _cmd_experiment,
     "acpr-obo": _cmd_acpr_obo,
     "gradcheck": _cmd_gradcheck,
 }

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .autodiff import ACTIVATIONS
 from .channel import Awgn, MultipathTaps
@@ -50,17 +51,17 @@ def check_seed(seed: int) -> None:
         raise ConfigError("seed must be in [0, 2**128)")
 
 
-def _parse_float_list(text: str) -> tuple[float, ...]:
-    items = [t.strip() for t in text.split(",") if t.strip()]
-    return tuple(float(t) for t in items)
-
-
-def _parse_opt_float(text: str):
-    return None if text == "" else float(text)
-
-
-def _parse_opt_str(text: str):
-    return None if text == "" else text
+# The parser of each field annotation in the section dataclasses; an empty
+# value is None where the annotation allows it.
+_PARSERS = {
+    "int": int,
+    "float": float,
+    "str": str,
+    "float | None": lambda text: float(text) if text else None,
+    "str | None": lambda text: text or None,
+    "tuple[float, ...]": lambda text: tuple(float(t.strip()) for t in text.split(",")
+                                            if t.strip()),
+}
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,8 @@ class ExperimentConfig:
     rf: RfConfig = field(default_factory=RfConfig)
     method: MethodConfig = field(default_factory=MethodConfig)
     detector: str = "mle"          # mle | zf | cae
-    train: TrainSection = field(default_factory=TrainSection)
     run: RunConfig = field(default_factory=RunConfig)
+    train: TrainSection = field(default_factory=TrainSection)
 
     def validated(self) -> "ExperimentConfig":
         check_link(self.system, self.channel, self.rf, self.run.seed)
@@ -231,37 +232,23 @@ class ExperimentConfig:
         return self
 
 
-_SCHEMA = {
-    "system": (SystemConfig, {
-        "n_tx": int, "n_rx": int, "n_subcarriers": int,
-        "oversample": int, "mod_order": int,
-    }),
-    "channel": (ChannelConfig, {
-        "profile": str, "taps": int, "decay": _parse_opt_float,
-    }),
-    "rf": (RfConfig, {
-        "amplifier": str, "ibo_db": float, "smoothness": float,
-        "small_signal_gain": float, "total_power": float,
-    }),
-    "method": (MethodConfig, {
-        "name": str, "clip_ratio_db": float, "slm_candidates": int,
-        "checkpoint": _parse_opt_str,
-    }),
-    "detector": (None, {"name": str}),
-    "run": (RunConfig, {
-        "seed": int, "frames": int, "p_snr_db": _parse_float_list,
-        "ccdf_thresholds_db": _parse_float_list, "workers": int,
-        "out": _parse_opt_str,
-    }),
-    "train": (TrainSection, {
-        "lr": float, "weight_decay": float, "epochs": int,
-        "gradual_start_epoch": int, "train_snr_db": float,
-        "lambda_2a": float, "lambda_2b": float, "lambda_3": float,
-        "rho_2a": float, "rho_2b": float, "rho_3": float,
-        "batch_size": int, "batches_per_epoch": int, "acpr_req_db": float,
-        "decoder_iterations": int, "activation": str, "init_scale": float,
-    }),
-}
+def _schema() -> dict[str, tuple[type | None, dict]]:
+    """[section] -> (its dataclass, {key: parser}), one per ExperimentConfig field, in order.
+
+    ``detector`` is a plain value, not a dataclass: its section has one key, ``name``.
+    """
+    kinds = get_type_hints(ExperimentConfig)
+    schema = {}
+    for f in fields(ExperimentConfig):
+        if f.type in _PARSERS:
+            schema[f.name] = (None, {"name": _PARSERS[f.type]})
+        else:
+            kind = kinds[f.name]
+            schema[f.name] = (kind, {g.name: _PARSERS[g.type] for g in fields(kind)})
+    return schema
+
+
+_SCHEMA = _schema()
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -296,19 +283,13 @@ def parse_config(text: str) -> ExperimentConfig:
 
     if "n_tx" not in values["system"] or "n_rx" not in values["system"]:
         raise ConfigError("[system] must set n_tx and n_rx")
-    try:
-        cfg = ExperimentConfig(
-            system=SystemConfig(**values["system"]),
-            channel=ChannelConfig(**values["channel"]),
-            rf=RfConfig(**values["rf"]),
-            method=MethodConfig(**values["method"]),
-            detector=values["detector"].get("name", "mle"),
-            train=TrainSection(**values["train"]),
-            run=RunConfig(**values["run"]),
-        )
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    return cfg.validated()
+    sections = {}
+    for name, (kind, _) in _SCHEMA.items():
+        if kind is not None:
+            sections[name] = kind(**values[name])
+        elif values[name]:
+            sections[name] = values[name]["name"]
+    return ExperimentConfig(**sections).validated()
 
 
 def load_config(path) -> ExperimentConfig:
@@ -332,42 +313,15 @@ def _render_value(value) -> str:
 
 def serialize_config(cfg: ExperimentConfig) -> str:
     """Full text rendering; parse(serialize(cfg)) == cfg."""
-    blocks = {
-        "system": cfg.system,
-        "channel": cfg.channel,
-        "rf": cfg.rf,
-        "method": cfg.method,
-        "run": cfg.run,
-        "train": cfg.train,
-    }
     lines = []
-    for name in ("system", "channel", "rf", "method"):
-        lines.append(f"[{name}]")
-        for f in fields(blocks[name]):
-            lines.append(f"{f.name} = {_render_value(getattr(blocks[name], f.name))}")
-        lines.append("")
-    lines.append("[detector]")
-    lines.append(f"name = {cfg.detector}")
-    lines.append("")
-    for name in ("run", "train"):
-        lines.append(f"[{name}]")
-        for f in fields(blocks[name]):
-            lines.append(f"{f.name} = {_render_value(getattr(blocks[name], f.name))}")
-        lines.append("")
+    for name, (kind, keys) in _SCHEMA.items():
+        value = getattr(cfg, name)
+        items = {"name": value} if kind is None else {key: getattr(value, key) for key in keys}
+        lines += [f"[{name}]", *(f"{key} = {_render_value(v)}" for key, v in items.items()), ""]
     return "\n".join(lines)
 
 
-def with_overrides(cfg: ExperimentConfig, seed: int | None = None,
-                   frames: int | None = None, out: str | None = None,
-                   workers: int | None = None) -> ExperimentConfig:
-    """Apply command-line overrides onto a parsed configuration."""
-    run = cfg.run
-    if seed is not None:
-        run = replace(run, seed=seed)
-    if frames is not None:
-        run = replace(run, frames=frames)
-    if out is not None:
-        run = replace(run, out=out)
-    if workers is not None:
-        run = replace(run, workers=workers)
-    return replace(cfg, run=run).validated()
+def with_overrides(cfg: ExperimentConfig, **run) -> ExperimentConfig:
+    """Apply the command line's [run] overrides (seed=, frames=, ...) that are not None."""
+    run = {key: value for key, value in run.items() if value is not None}
+    return replace(cfg, run=replace(cfg.run, **run)).validated()

@@ -317,6 +317,9 @@ def run_acpr_obo(cfg_list: list[ExperimentConfig], out=None) -> str:
     """One (method, ACPR, OBO) row per configuration."""
     if not cfg_list:
         raise ConfigError("empty configuration list")
+    if any(cfg.system.oversample < 2 for cfg in cfg_list):
+        raise ConfigError("acpr-obo needs oversample >= 2: the adjacent bands lie in "
+                          "the guard band")
     rows = []
     for cfg in cfg_list:
         chain = _FrameChain(cfg)

@@ -158,7 +158,10 @@ class TestUsageErrors:
         (["bogus"], "invalid choice: 'bogus'"),
         (["ber"], "required: --config"),
         ([], "required: command"),
-    ], ids=["bad_int", "unknown_subcommand", "missing_config", "no_subcommand"])
+        (["train", "--config", "x.cfg", "--frames", "3"], "unrecognized arguments: --frames"),
+        (["train", "--config", "x.cfg", "--workers", "2"], "unrecognized arguments: --workers"),
+    ], ids=["bad_int", "unknown_subcommand", "missing_config", "no_subcommand",
+            "train_frames", "train_workers"])
     def test_usage_error_is_config_error(self, argv, words, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
@@ -314,6 +317,18 @@ class TestBoundaryFaults:
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert "not a regular file" in err[0]
 
+    def test_acpr_obo_without_guard_band(self, cfg_file, tmp_path, capsys, monkeypatch):
+        _refuse_frames(monkeypatch)
+        flat = tmp_path / "flat.cfg"
+        flat.write_text(BASE.replace("oversample = 4", "oversample = 1"))
+        out = tmp_path / "table.csv"
+        # refused before the first config's frames, wherever it stands in the list
+        assert main(["acpr-obo", "--config", str(cfg_file), str(flat), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: acpr-obo needs oversample >= 2: the adjacent bands lie in the "
+            "guard band"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["ber", "ccdf", "psd", "acpr-obo", "train"])
     @pytest.mark.parametrize("where", ["missing_dir", "is_dir"])
     def test_bad_output_path_refused_before_any_frame(self, cfg_file, tmp_path, capsys,
@@ -349,6 +364,10 @@ BAD_RECIPES = {   # [train] lines -> words of the message
 }
 
 
+NO_GUARD_BAND = ("training needs oversample >= 2: the ACPR loss measures the adjacent "
+                 "bands in the guard band")
+
+
 class TestBadTrainingRecipe:
     def test_run_larger_than_memory_refused(self, tmp_path, capsys, monkeypatch):
         import ofdmlab.cae.training as training
@@ -376,6 +395,27 @@ class TestBadTrainingRecipe:
         assert err == ["config error: the CAE trains through a RAPP amplifier with "
                        f"small_signal_gain = 1, not the config's [rf]: {key}"]
         assert not out.exists()
+
+    # gradual_start_epoch = 2 > epochs is pure reconstruction; 1 runs the constraint phase
+    @pytest.mark.parametrize("start", [1, 2], ids=["constrained", "reconstruction_only"])
+    def test_no_guard_band_refused(self, tmp_path, capsys, monkeypatch, start):
+        _refuse_frames(monkeypatch)
+        out = tmp_path / "model.bin"
+        path = tmp_path / "train.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp")
+                        .replace("oversample = 4", "oversample = 1")
+                        + f"out = {out}\n[train]\nepochs = 1\ngradual_start_epoch = {start}\n"
+                        "batches_per_epoch = 1\nbatch_size = 2\n")
+        assert main(["train", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {NO_GUARD_BAND}"]
+        assert not out.exists()
+
+    def test_train_config_refuses_no_guard_band(self):
+        from ofdmlab.cae.training import TrainConfig
+        from ofdmlab.errors import ConfigError
+        with pytest.raises(ConfigError) as exc:
+            TrainConfig(oversample=1)
+        assert str(exc.value) == NO_GUARD_BAND
 
     @pytest.mark.parametrize("lines", sorted(BAD_RECIPES))
     def test_refused_as_config_error(self, lines, tmp_path, capsys, monkeypatch):

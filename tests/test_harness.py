@@ -1,11 +1,12 @@
 """Experiment harness: config parsing, determinism, CSV output, seeding."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ofdmlab.config import (ExperimentConfig, MethodConfig, RunConfig,
+from ofdmlab.config import (_SCHEMA, ExperimentConfig, MethodConfig, RunConfig,
                             SystemConfig, load_config, parse_config,
                             serialize_config, with_overrides)
 from ofdmlab.errors import ConfigError, NumericError
@@ -102,6 +103,19 @@ p_snr_db = 4, 8, 12
         cfg = make_cfg()
         out = with_overrides(cfg, seed=9, frames=50, workers=2)
         assert (out.run.seed, out.run.frames, out.run.workers) == (9, 50, 2)
+
+    def test_readme_example_parses_and_lists_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parse_config(example)
+        written = {}
+        for line in example.splitlines():
+            line = line.split("#", 1)[0].strip()
+            if line.startswith("["):
+                section = line[1:-1]
+            elif line:
+                written.setdefault(section, []).append(line.partition("=")[0].strip())
+        assert written == {name: list(keys) for name, (_, keys) in _SCHEMA.items()}
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
