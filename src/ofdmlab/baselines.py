@@ -11,13 +11,14 @@ detectors work on all subcarriers of a frame at once.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .channel import ChannelRealization
-from .dsp import idft_oversampled
+from .dsp import _synthesize_into
 from .errors import ConfigError, NumericError
 from .modulation import OfdmGrid, nearest_level_index, pam_levels, qam_alphabet
 from .rf import bandpass_filter
@@ -79,12 +80,14 @@ def clip_only(samples: np.ndarray, clip_ratio_db: float) -> np.ndarray:
     """Hard-limit the envelope at rms * 10^(ratio/20), per frame [A, N]; phase preserved."""
     if not np.isfinite(clip_ratio_db):
         raise ValueError("clip ratio must be finite")
-    power = np.mean(np.abs(samples) ** 2, axis=(-2, -1), keepdims=True)
+    magnitude = np.abs(samples)
+    power = np.mean(np.square(magnitude), axis=(-2, -1), keepdims=True)
     if np.any(power == 0.0):
         raise ValueError("cannot clip an all-zero frame")
     limit = np.sqrt(power) * 10.0 ** (clip_ratio_db / 20.0)
-    magnitude = np.abs(samples)
-    scale = np.where(magnitude > limit, limit / np.maximum(magnitude, 1e-300), 1.0)
+    scale = np.maximum(magnitude, 1e-300)
+    np.divide(limit, scale, out=scale)
+    np.copyto(scale, 1.0, where=~(magnitude > limit))
     return samples * scale
 
 
@@ -97,23 +100,55 @@ def clip_and_filter(samples: np.ndarray, clip_ratio_db: float, L: int) -> np.nda
     return bandpass_filter(clip_only(samples, clip_ratio_db), L)
 
 
+class _SlmWork(threading.local):
+    """One thread's SLM work arrays, rebuilt when the (C, A, K, L) shape changes."""
+
+    key = None
+
+
+_SLM_WORK = _SlmWork()
+
+
+def _slm_work(c: int, a: int, k: int, L: int):
+    """This thread's (products, spectrum, rows, power) arrays for C candidates of A x K grids.
+
+    The spectrum's guard bins are zero and stay zero: callers write only
+    its in-band bins.
+    """
+    work = _SLM_WORK
+    if work.key != (c, a, k, L):
+        n = L * k
+        work.arrays = (np.empty((c, a, k), dtype=np.complex128),
+                       np.zeros((c, a, n), dtype=np.complex128),
+                       np.empty((c, a, n), dtype=np.complex128),
+                       np.empty((c, a, n)))
+        work.key = (c, a, k, L)
+    return work.arrays
+
+
 def slm_encode(grid: OfdmGrid, book: SlmCodebook, L: int) -> tuple[np.ndarray, int]:
     """Pick the candidate phase sequence with the lowest worst-antenna PAPR.
 
     All antennas share the candidate's sequence. Returns the winner's
     oversampled time samples [A, L*K] and its index (side information for
-    the receiver).
+    the receiver). The candidates are synthesized as by
+    :func:`~ofdmlab.dsp.idft_oversampled`, in this thread's work arrays.
     """
     symbols = grid.symbols
+    if L < 1:
+        raise ValueError("oversampling factor must be >= 1")
     if book.phases.shape[1] != symbols.shape[1]:
         raise ValueError("codebook length does not match the grid")
-    candidates = book.phases[:, None, :] * symbols[None, :, :]
-    rows = idft_oversampled(candidates, L)
-    power = np.abs(rows) ** 2
+    c, k = book.phases.shape
+    products, spectrum, rows, power = _slm_work(c, symbols.shape[0], k, L)
+    np.multiply(book.phases[:, None, :], symbols[None, :, :], out=products)
+    _synthesize_into(spectrum, products, rows)
+    np.abs(rows, out=power)
+    np.square(power, out=power)
     per_antenna = power.max(axis=2) / power.mean(axis=2)
     worst = per_antenna.max(axis=1)
     winner = int(np.argmin(worst))
-    # a copy, so that a caller holding the frame does not hold every candidate
+    # a copy: the work arrays are overwritten by this thread's next call
     return rows[winner].copy(), winner
 
 

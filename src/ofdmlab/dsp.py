@@ -19,6 +19,17 @@ def inband_start(n_bins: int, n_inband: int) -> int:
     return (n_bins - n_inband) // 2
 
 
+def inband_bins(n_bins: int, n_inband: int) -> np.ndarray:
+    """The centred data band's bins in unshifted FFT order, lowest frequency first.
+
+    Entry j is where ``np.fft.fftshift`` takes shifted bin
+    ``inband_start(n_bins, n_inband) + j`` from, so a stage that gathers or
+    scatters through these bins needs no shift copy.
+    """
+    start = inband_start(n_bins, n_inband)
+    return (np.arange(start, start + n_inband) - n_bins // 2) % n_bins
+
+
 def idft_oversampled(symbols: np.ndarray, L: int) -> np.ndarray:
     """Oversampled time samples of symbol rows: [..., A, K] -> [..., A, L*K].
 
@@ -32,9 +43,20 @@ def idft_oversampled(symbols: np.ndarray, L: int) -> np.ndarray:
     k = symbols.shape[-1]
     n = L * k
     spectrum = np.zeros(symbols.shape[:-1] + (n,), dtype=np.complex128)
-    start = inband_start(n, k)
-    spectrum[..., start:start + k] = symbols
-    return (n / np.sqrt(k)) * np.fft.ifft(np.fft.ifftshift(spectrum, axes=-1), axis=-1)
+    return _synthesize_into(spectrum, symbols, spectrum)
+
+
+def _synthesize_into(spectrum: np.ndarray, symbols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`idft_oversampled` in caller-owned arrays; returns ``out``.
+
+    ``spectrum`` [..., A, N] must hold zeros outside the data band. Only its
+    in-band bins are written, so unless ``out`` is ``spectrum`` it can be
+    reused for the next rows of the same shape.
+    """
+    n, k = spectrum.shape[-1], symbols.shape[-1]
+    spectrum[..., inband_bins(n, k)] = symbols
+    np.fft.ifft(spectrum, axis=-1, out=out)
+    return np.multiply(n / np.sqrt(k), out, out=out)
 
 
 def dft_unpad(samples: np.ndarray, n_inband: int) -> np.ndarray:
@@ -46,9 +68,8 @@ def dft_unpad(samples: np.ndarray, n_inband: int) -> np.ndarray:
     n = samples.shape[-1]
     if n % n_inband != 0:
         raise ValueError("frame length must be divisible by the data bin count")
-    spectrum = np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)
-    start = inband_start(n, n_inband)
-    return spectrum[..., start:start + n_inband] * (np.sqrt(n_inband) / n)
+    bins = np.fft.fft(samples, axis=-1)[..., inband_bins(n, n_inband)]
+    return np.multiply(bins, np.sqrt(n_inband) / n, out=bins)
 
 
 def papr(samples: np.ndarray) -> float:
@@ -88,5 +109,7 @@ def estimate_psd(samples: np.ndarray) -> np.ndarray:
     bins per frame.
     """
     n = samples.shape[-1]
-    spectrum = np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)
-    return (np.abs(spectrum) ** 2 / n ** 2).mean(axis=-2)
+    power = np.abs(np.fft.fft(samples, axis=-1))
+    np.square(power, out=power)
+    np.true_divide(power, n ** 2, out=power)
+    return np.fft.fftshift(power.mean(axis=-2), axes=-1)

@@ -1,11 +1,13 @@
 """Seeded Monte Carlo experiments emitting deterministic CSV.
 
-Every frame gets its own counter-based generator derived from the master
+Every frame gets its own counter-based stream derived from the master
 seed. Every path runs in blocks of ``BLOCK_FRAMES`` consecutive frames: the
 draws stay per frame, the arithmetic runs on the block's stacked arrays and
 gives the same values as one frame at a time, so results are identical for
-any block size, worker count and rerun. Workers are threads that take whole
-blocks; numpy releases the GIL in the heavy kernels.
+any block size, worker count and rerun. A block that uses up each frame's
+stream before the next frame's starts re-keys one generator from frame to
+frame. Workers are threads that take whole blocks; numpy releases the GIL
+in the heavy kernels.
 """
 
 from __future__ import annotations
@@ -56,6 +58,23 @@ def frame_rng(seed: int, frame_index: int, point_index: int = 0) -> np.random.Ge
     """
     return np.random.Generator(
         np.random.Philox(key=seed, counter=[0, 0, frame_index, point_index + 2]))
+
+
+def frame_streams(seed: int, frames: range, point_index: int = 0):
+    """The streams of :func:`frame_rng` for ``frames``, one after another.
+
+    Yields one generator, re-keyed for each frame in turn through its bit
+    generator's state, so a block builds one generator instead of one per
+    frame. A frame's stream must be used up before the next one is drawn.
+    """
+    bit_generator = np.random.Philox(key=seed)
+    rng = np.random.Generator(bit_generator)
+    state = bit_generator.state              # an empty buffer: a fresh stream
+    for frame_index in frames:
+        state["state"]["counter"] = np.array([0, 0, frame_index, point_index + 2],
+                                             dtype=np.uint64)
+        bit_generator.state = state
+        yield rng
 
 
 class _FrameChain:
@@ -124,8 +143,8 @@ class _FrameChain:
     def drawn_block(self, frames: range) -> np.ndarray:
         """The band-limited [F, A, N] block of a transmit-only run's ``frames``."""
         s = self.cfg.system
-        grids = [OfdmGrid.random(frame_rng(self.cfg.run.seed, i, 0),
-                                 s.n_tx, s.n_subcarriers, s.mod_order) for i in frames]
+        grids = [OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
+                 for rng in frame_streams(self.cfg.run.seed, frames)]
         return self.filtered_block(grids)[0]
 
     def amplified(self, filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -155,7 +174,8 @@ class _FrameChain:
 
         Each frame draws its grid and channel from its own stream, the block
         is transmitted in one pass, and then each frame draws its noise and
-        is detected on its own.
+        is detected on its own. It goes back to each frame's stream after
+        the transmit, so it keeps one generator per frame.
         """
         cfg = self.cfg
         k, order = cfg.system.n_subcarriers, cfg.system.mod_order
@@ -186,8 +206,7 @@ class _FrameChain:
         cfg = self.cfg
         k, n_rx = cfg.system.n_subcarriers, cfg.system.n_rx
         grids, hs, noises, starts = [], [], [], []
-        for frame_index in frames:
-            rng = frame_rng(cfg.run.seed, frame_index, point_index)
+        for rng in frame_streams(cfg.run.seed, frames, point_index):
             grid, chan = self._link_draw(rng, sigma_w2)
             noise = (rng.standard_normal((k, n_rx)) + 1j * rng.standard_normal((k, n_rx))) \
                 * np.sqrt(chan.sigma_w2 / 2.0)

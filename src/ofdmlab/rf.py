@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import inband_start
+from .dsp import inband_bins, inband_start
 
 
 @dataclass(frozen=True)
@@ -52,12 +52,11 @@ def bandpass_filter(samples: np.ndarray, L: int) -> np.ndarray:
     if L < 1:
         raise ValueError("oversampling factor must be >= 1")
     n = samples.shape[-1]
-    k = n // L
-    spectrum = np.fft.fftshift(np.fft.fft(samples, axis=-1), axes=-1)
-    start = inband_start(n, k)
     mask = np.zeros(n)
-    mask[start:start + k] = 1.0
-    return np.fft.ifft(np.fft.ifftshift(spectrum * mask, axes=-1), axis=-1)
+    mask[inband_bins(n, n // L)] = 1.0
+    spectrum = np.fft.fft(samples, axis=-1)
+    np.multiply(spectrum, mask, out=spectrum)
+    return np.fft.ifft(spectrum, axis=-1, out=spectrum)
 
 
 def apply_ibo(samples: np.ndarray, ibo_db: float, params: RappParams) -> np.ndarray:
@@ -74,10 +73,17 @@ def rapp_amplify(samples: np.ndarray, params: RappParams) -> np.ndarray:
     """Apply the AM/AM response per sample; phase preserved.
 
     The complex gain is computed from |x|^2 directly, so the operation is
-    smooth at the origin.
+    smooth at the origin. The gain v * (1 + (v^2 |x|^2 / a0^2)^p)^(-1/2p)
+    is evaluated in one buffer.
     """
-    power = np.abs(samples) ** 2
-    gain = params.v * (1.0 + (params.v ** 2 * power / params.a0 ** 2) ** params.p) ** (-1.0 / (2 * params.p))
+    gain = np.abs(samples)
+    np.square(gain, out=gain)
+    np.multiply(params.v ** 2, gain, out=gain)
+    np.true_divide(gain, params.a0 ** 2, out=gain)
+    gain **= params.p
+    np.add(1.0, gain, out=gain)
+    gain **= -1.0 / (2 * params.p)
+    np.multiply(params.v, gain, out=gain)
     return samples * gain
 
 
@@ -102,7 +108,8 @@ def acpr(bin_power: np.ndarray, L: int) -> float:
     The main channel is the centre ``n_bins // L`` bins; the adjacent
     channels are the equally wide bands immediately above and below it
     (truncated to the sampled spectrum when L == 2). Returns
-    10*log10(max(upper, lower) / main).
+    10*log10(max(upper, lower) / main), or -inf when the adjacent bands
+    hold no power at all.
     """
     if L < 2:
         raise ValueError("adjacent bands require an oversampling factor >= 2")
@@ -114,6 +121,8 @@ def acpr(bin_power: np.ndarray, L: int) -> float:
         raise ValueError("main channel has no power")
     lower = bin_power[max(0, start - bw):start].sum()
     upper = bin_power[start + bw:min(n, start + 2 * bw)].sum()
+    if max(upper, lower) == 0.0:
+        return float("-inf")
     return float(10.0 * np.log10(max(upper, lower) / main))
 
 

@@ -270,6 +270,19 @@ class TestNonFiniteResults:
         self._refused(["acpr-obo", "--config", str(path), "--frames", "3"],
                       tmp_path / "table.csv", "acpr_db", capsys)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_acpr_obo_without_leakage(self, tmp_path, capsys):
+        """One subcarrier leaves the adjacent bands empty: ACPR is -inf, and numpy stays quiet."""
+        path = tmp_path / "tone.cfg"
+        path.write_text(BASE.replace("n_subcarriers = 24", "n_subcarriers = 1")
+                        .replace("amplifier = linear", "amplifier = rapp"))
+        out = tmp_path / "table.csv"
+        assert main(["acpr-obo", "--config", str(path), "--frames", "100",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "numeric error: acpr_db is -inf at method = none; no CSV written"]
+        assert not out.exists()
+
 
 def _refuse_frames(monkeypatch):
     """Make any harness frame or training batch fail the test."""

@@ -9,24 +9,76 @@ arrays, as the stages now do. Each stacked stage must match its oracle
 frame by frame with ``array_equal``, and ``run_ccdf``, ``run_psd``,
 ``run_acpr_obo`` and ``run_ber`` must write the same CSV bytes as with the
 oracles patched in, for any block size and worker count.
+
+The synthesis, SLM search, RAPP amplifier and per-frame generator the
+oracles build on are frozen copies too (``*_ref``): the shifted-spectrum
+synthesis, the allocating SLM search and one ``Philox`` per frame. The
+live stages replace the shift copies with gathers and scatters through
+``dsp.inband_bins``, reuse work arrays and re-key one generator per block,
+and must still match them bit for bit.
 """
 
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ofdmlab import baselines, harness
 from ofdmlab.autodiff import no_grad
-from ofdmlab.baselines import clip_and_filter, clip_only, slm_encode
+from ofdmlab.baselines import SlmCodebook, clip_and_filter, clip_only, slm_encode
 from ofdmlab.cae import training
 from ofdmlab.cae.pipeline import build_system
 from ofdmlab.channel import apply_channel
 from ofdmlab.config import parse_config
 from ofdmlab.dsp import dft_unpad, estimate_psd, idft_oversampled, inband_start, papr_mimo
-from ofdmlab.harness import frame_rng, run_acpr_obo, run_ber, run_ccdf, run_psd
+from ofdmlab.harness import frame_rng, frame_streams, run_acpr_obo, run_ber, run_ccdf, run_psd
 from ofdmlab.modulation import OfdmGrid, symbols_to_bits
 from ofdmlab.rf import RappParams, apply_ibo, bandpass_filter, bussgang_alpha, rapp_amplify
+
+# -- oracles: the earlier synthesis, SLM search, amplifier and frame generator -------
+
+
+def idft_oversampled_ref(symbols: np.ndarray, L: int) -> np.ndarray:
+    """Oversampled time samples of symbol rows: [..., A, K] -> [..., A, L*K]."""
+    if L < 1:
+        raise ValueError("oversampling factor must be >= 1")
+    k = symbols.shape[-1]
+    n = L * k
+    spectrum = np.zeros(symbols.shape[:-1] + (n,), dtype=np.complex128)
+    start = inband_start(n, k)
+    spectrum[..., start:start + k] = symbols
+    return (n / np.sqrt(k)) * np.fft.ifft(np.fft.ifftshift(spectrum, axes=-1), axis=-1)
+
+
+def slm_encode_ref(grid: OfdmGrid, book: SlmCodebook, L: int) -> tuple[np.ndarray, int]:
+    """Pick the candidate phase sequence with the lowest worst-antenna PAPR."""
+    symbols = grid.symbols
+    if book.phases.shape[1] != symbols.shape[1]:
+        raise ValueError("codebook length does not match the grid")
+    candidates = book.phases[:, None, :] * symbols[None, :, :]
+    rows = idft_oversampled_ref(candidates, L)
+    power = np.abs(rows) ** 2
+    per_antenna = power.max(axis=2) / power.mean(axis=2)
+    worst = per_antenna.max(axis=1)
+    winner = int(np.argmin(worst))
+    # a copy, so that a caller holding the frame does not hold every candidate
+    return rows[winner].copy(), winner
+
+
+def rapp_amplify_ref(samples: np.ndarray, params: RappParams) -> np.ndarray:
+    """Apply the AM/AM response per sample; phase preserved."""
+    power = np.abs(samples) ** 2
+    gain = params.v * (1.0 + (params.v ** 2 * power / params.a0 ** 2) ** params.p) ** (-1.0 / (2 * params.p))
+    return samples * gain
+
+
+def frame_rng_ref(seed: int, frame_index: int, point_index: int = 0) -> np.random.Generator:
+    """Counter-split generator: one independent stream per (point, frame)."""
+    return np.random.Generator(
+        np.random.Philox(key=seed, counter=[0, 0, frame_index, point_index + 2]))
+
 
 # -- oracles: the earlier per-frame stages, unchanged ------------------------------
 
@@ -113,9 +165,9 @@ def filtered_frame_ref(chain, grid: OfdmGrid):
             stages = chain.system.transmit(grid.symbols[None], train=False)
         return stages["filtered"].values()[0], None
     if cfg.method.name == "slm":
-        frame, index = slm_encode(grid, chain.book, oversample)
+        frame, index = slm_encode_ref(grid, chain.book, oversample)
         return bandpass_filter_ref(frame, oversample), chain.book.phases[index]
-    raw = idft_oversampled(grid.symbols, oversample)
+    raw = idft_oversampled_ref(grid.symbols, oversample)
     if cfg.method.name == "cf":
         return clip_and_filter_ref(raw, cfg.method.clip_ratio_db, oversample), None
     return bandpass_filter_ref(raw, oversample), None
@@ -123,7 +175,7 @@ def filtered_frame_ref(chain, grid: OfdmGrid):
 
 def drawn_filtered_ref(chain, frame_index: int) -> np.ndarray:
     s = chain.cfg.system
-    rng = frame_rng(chain.cfg.run.seed, frame_index, 0)
+    rng = frame_rng_ref(chain.cfg.run.seed, frame_index, 0)
     grid = OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
     return filtered_frame_ref(chain, grid)[0]
 
@@ -133,7 +185,7 @@ def amplified_ref(chain, filtered: np.ndarray):
     if chain.cfg.rf.amplifier == "linear":
         return filtered, filtered, 1.0 + 0.0j
     backed = apply_ibo_ref(filtered, chain.cfg.rf.ibo_db, chain.params)
-    amplified = rapp_amplify(backed, chain.params)
+    amplified = rapp_amplify_ref(backed, chain.params)
     alpha = bussgang_alpha(filtered, amplified)
     return backed, amplified, alpha
 
@@ -141,7 +193,7 @@ def amplified_ref(chain, filtered: np.ndarray):
 def ber_frame_ref(chain, frame_index: int, point_index: int, sigma_w2: float):
     """Simulate one frame at one SNR point; returns (bit errors, bits)."""
     cfg = chain.cfg
-    rng = frame_rng(cfg.run.seed, frame_index, point_index)
+    rng = frame_rng_ref(cfg.run.seed, frame_index, point_index)
     grid, chan = chain._link_draw(rng, sigma_w2)
     filtered, phases = filtered_frame_ref(chain, grid)
     _, amplified, alpha = amplified_ref(chain, filtered)
@@ -202,8 +254,8 @@ ORACLES = {"ccdf_block": ccdf_block_ref, "psd_block": psd_block_ref,
 
 def golden_block(n_frames=37, n_tx=2, k=72, oversample=4, seed=3):
     """Raw frames of the golden-settings geometry, stacked [F, A, N]."""
-    grids = [OfdmGrid.random(frame_rng(seed, i), n_tx, k, 4).symbols for i in range(n_frames)]
-    return idft_oversampled(np.stack(grids), oversample)
+    grids = [OfdmGrid.random(frame_rng_ref(seed, i), n_tx, k, 4).symbols for i in range(n_frames)]
+    return idft_oversampled_ref(np.stack(grids), oversample)
 
 
 def frames_of(block: np.ndarray):
@@ -216,8 +268,23 @@ def assert_rows_equal(stacked: np.ndarray, per_frame: list):
     assert np.array_equal(stacked, expected)
 
 
-@pytest.mark.parametrize("n_tx,k,oversample", [(2, 72, 4), (4, 16, 2), (1, 9, 3)])
+# the golden geometry, then odd N, one subcarrier and no oversampling
+@pytest.mark.parametrize("n_tx,k,oversample",
+                         [(2, 72, 4), (4, 16, 2), (1, 9, 3), (2, 1, 4), (3, 5, 1), (2, 1, 1)])
 class TestStackedStages:
+    def test_synthesis(self, n_tx, k, oversample):
+        grids = np.stack([OfdmGrid.random(frame_rng_ref(5, i), n_tx, k, 4).symbols
+                          for i in range(37)])
+        assert_rows_equal(idft_oversampled(grids, oversample),
+                          [idft_oversampled_ref(g, oversample) for g in grids])
+
+    @pytest.mark.parametrize("candidates", [1, 5, 64])
+    def test_slm_encode(self, n_tx, k, oversample, candidates):
+        book = SlmCodebook.random(6, candidates, k)
+        calls = [(OfdmGrid.random(frame_rng_ref(8, i), n_tx, k, 4), book, oversample)
+                 for i in range(12)]
+        assert_slm_matches([slm_encode(*call) for call in calls], calls)
+
     def test_bandpass_filter(self, n_tx, k, oversample):
         block = golden_block(n_tx=n_tx, k=k, oversample=oversample)
         assert_rows_equal(bandpass_filter(block, oversample),
@@ -239,7 +306,7 @@ class TestStackedStages:
         assert_rows_equal(backed,
                           [apply_ibo_ref(f, ibo_db, params) for f in frames_of(block)])
         assert_rows_equal(rapp_amplify(backed, params),
-                          [rapp_amplify(f, params) for f in frames_of(backed)])
+                          [rapp_amplify_ref(f, params) for f in frames_of(backed)])
 
     def test_papr_psd_unpad(self, n_tx, k, oversample):
         block = golden_block(n_tx=n_tx, k=k, oversample=oversample)
@@ -253,6 +320,118 @@ class TestStackedStages:
         assert isinstance(papr_mimo(frame), float)
         assert papr_mimo(frame) == papr_mimo_ref(frame)
         assert estimate_psd(frame).shape == (frame.shape[-1],)
+
+
+@pytest.mark.parametrize("v,p", [(1.0, 1.0), (1.7, 3.3)])
+def test_rapp_smoothness_and_gain(v, p):
+    block = bandpass_filter(golden_block(), 4)
+    params = RappParams(a0=0.8, v=v, p=p)
+    assert_rows_equal(rapp_amplify(block, params),
+                      [rapp_amplify_ref(f, params) for f in frames_of(block)])
+
+
+def test_stages_do_not_mutate_their_input():
+    """Each stage gets read-only input, so a write into it raises."""
+    block = golden_block(n_frames=5)
+    grid = OfdmGrid.random(frame_rng_ref(2, 0), 2, 72, 4)
+    book = SlmCodebook.random(2, 16, 72)
+    params = RappParams.from_power_budget(1.0, 2)
+    for array in (block, grid.symbols, book.phases):
+        array.setflags(write=False)
+    stages = [(idft_oversampled, (grid.symbols, 4)), (dft_unpad, (block, 72)),
+              (estimate_psd, (block,)), (papr_mimo, (block,)), (bandpass_filter, (block, 4)),
+              (apply_ibo, (block, 3.0, params)), (rapp_amplify, (block, params)),
+              (clip_only, (block, 2.0)), (clip_and_filter, (block, 2.0, 4)),
+              (slm_encode, (grid, book, 4))]
+    for stage, args in stages:
+        stage(*args)
+
+
+def slm_calls() -> list:
+    """(grid, book, L) SLM calls whose shapes change from call to call."""
+    shapes = [(2, 72, 4, 64), (4, 16, 2, 8), (1, 9, 3, 5), (2, 72, 2, 64)]   # A, K, L, C
+    return [(OfdmGrid.random(frame_rng_ref(9, i), a, k, 4), SlmCodebook.random(2, c, k), L)
+            for i in range(6) for a, k, L, c in shapes]
+
+
+def assert_slm_matches(results, calls):
+    for (frame, index), call in zip(results, calls):
+        frame_ref, index_ref = slm_encode_ref(*call)
+        assert index == index_ref
+        assert np.array_equal(frame, frame_ref)
+
+
+def test_slm_work_arrays_follow_the_shape():
+    calls = slm_calls()
+    assert_slm_matches([slm_encode(*call) for call in calls], calls)
+
+
+def test_slm_threads_keep_their_own_work_arrays():
+    calls = slm_calls()
+    barrier = threading.Barrier(2)
+    results = {}
+
+    def run(name, order):
+        barrier.wait()
+        results[name] = [slm_encode(*calls[i]) for i in order]
+
+    orders = {"forward": list(range(len(calls))) * 3,
+              "backward": list(reversed(range(len(calls)))) * 3}
+    threads = [threading.Thread(target=run, args=item) for item in orders.items()]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    for name, order in orders.items():
+        assert_slm_matches(results[name], [calls[i] for i in order])
+
+
+def test_slm_frame_does_not_alias_the_work_arrays():
+    grid, book, L = slm_calls()[0]
+    frame, _ = slm_encode(grid, book, L)
+    kept = frame.copy()
+    work = baselines._SLM_WORK.arrays
+    try:
+        for array in work:
+            assert not np.shares_memory(frame, array)
+            array.fill(np.nan)
+        assert np.array_equal(frame, kept)
+    finally:
+        baselines._SLM_WORK.key = None          # the next call rebuilds clean arrays
+    assert_slm_matches([slm_encode(grid, book, L)], [(grid, book, L)])
+
+
+STREAM_DRAWS = st.lists(
+    st.tuples(st.sampled_from(["integers", "integers32", "standard_normal", "random"]),
+              st.integers(1, 9)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 128 - 1), point_index=st.integers(0, 40),
+       start=st.integers(0, 2 ** 40), length=st.integers(0, 5), draws=STREAM_DRAWS)
+def test_frame_streams_match_per_frame_generators(seed, point_index, start, length, draws):
+    """Odd-sized 32-bit draws leave half a word buffered: re-keying must drop it."""
+    def drawn(rng):
+        out = []
+        for kind, size in draws:
+            if kind == "integers":
+                out.append(rng.integers(0, 4, size=size))
+            elif kind == "integers32":
+                out.append(rng.integers(0, 16, size=size, dtype=np.int32))
+            elif kind == "standard_normal":
+                out.append(rng.standard_normal(size))
+            else:
+                out.append(rng.random(size))
+        return out
+
+    frames = range(start, start + length)
+    streamed = [drawn(rng) for rng in frame_streams(seed, frames, point_index)]
+    assert len(streamed) == length
+    for frame_index, got in zip(frames, streamed):
+        for want in (drawn(frame_rng_ref(seed, frame_index, point_index)),
+                     drawn(frame_rng(seed, frame_index, point_index))):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def test_zero_frame_in_a_block_is_refused():
@@ -269,10 +448,10 @@ def test_zero_frame_in_a_block_is_refused():
 
 def test_slm_winners_match_per_frame_encoding():
     chain = harness._FrameChain(golden("slm", frames=9))
-    grids = [OfdmGrid.random(frame_rng(4, i), 2, 72, 4) for i in range(9)]
+    grids = [OfdmGrid.random(frame_rng_ref(4, i), 2, 72, 4) for i in range(9)]
     filtered, phases = chain.filtered_block(grids)
     for f, grid in enumerate(grids):
-        frame, index = baselines.slm_encode(grid, chain.book, 4)
+        frame, index = slm_encode_ref(grid, chain.book, 4)
         assert np.array_equal(filtered[f], bandpass_filter_ref(frame, 4))
         assert np.array_equal(phases[f], chain.book.phases[index])
 
