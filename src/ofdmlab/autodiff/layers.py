@@ -172,14 +172,20 @@ class BatchNorm:
         self.eps = eps
         self.momentum = momentum
 
-    def __call__(self, x, train: bool) -> DiffTensor:
+    def __call__(self, x, train: bool, inplace: bool = False) -> DiffTensor:
         return batch_norm(x, self.gamma, self.beta, self.running_mean,
-                          self.running_var, train, self.momentum, self.eps)
+                          self.running_var, train, self.momentum, self.eps, inplace)
 
 
 def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
-               momentum: float = 0.1, eps: float = 1e-5) -> DiffTensor:
-    """Functional batch norm; mutates the running buffers in training mode."""
+               momentum: float = 0.1, eps: float = 1e-5, inplace: bool = False) -> DiffTensor:
+    """Functional batch norm; mutates the running buffers in training mode.
+
+    The normalized input is kept for backward in the input's layout. With
+    ``inplace`` it is formed in the input's own buffer, which must have no
+    other reader (as a conv2d output has none), and the output is
+    C-contiguous so that :func:`selu` can write over it in turn.
+    """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.values.ndim == 2:
         axes = (0,)
@@ -197,19 +203,20 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     if train:
         # the two passes of np.var, keeping the centred values
         mean = xv.mean(axis=axes)
-        centred = xv - mean.reshape(shape)
+        centred = np.subtract(xv, mean.reshape(shape), out=xv if inplace else None)
         var = np.square(centred).sum(axis=axes) / count
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mean
         running_var *= (1.0 - momentum)
         running_var += momentum * var
     else:
-        centred = xv - running_mean.reshape(shape)
+        centred = np.subtract(xv, running_mean.reshape(shape), out=xv if inplace else None)
         var = running_var
 
     inv_std_r = (1.0 / np.sqrt(var + eps)).reshape(shape)
     x_hat = np.multiply(centred, inv_std_r, out=centred)   # keeps the input's layout
-    out = np.multiply(gamma.values.reshape(shape), x_hat, out=np.empty_like(x_hat))
+    out = np.multiply(gamma.values.reshape(shape), x_hat,
+                      out=np.empty(x_hat.shape) if inplace else np.empty_like(x_hat))
     out += beta.values.reshape(shape)
 
     def backward(g):
@@ -236,19 +243,24 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     return _node(out, (x, gamma, beta), backward)
 
 
-def selu(x) -> DiffTensor:
+def selu(x, inplace: bool = False) -> DiffTensor:
     """Scaled exponential linear unit with the standard constants.
 
     The forward pass is lambda*max(x, 0) + lambda*alpha*(exp(min(x, 0)) - 1):
     in each branch the other term is an exact zero, so no mask is needed.
-    The backward pass multiplies by a mask instead of indexing. Output and
-    gradient are C-contiguous whatever the input's layout.
+    The backward pass multiplies by a mask instead of indexing and reads
+    only the output and the exponential, never the input. Output and
+    gradient are C-contiguous whatever the input's layout. With ``inplace``
+    the output is written over the input's buffer, which must be
+    C-contiguous and have no other reader.
     """
     x = as_tensor(x)
     xv = x.values
+    if inplace and not xv.flags.c_contiguous:
+        raise ValueError("selu(inplace=True) needs a C-contiguous input")
     expneg = np.minimum(xv, 0.0, out=np.empty(xv.shape))
     np.exp(expneg, out=expneg)
-    values = np.maximum(xv, 0.0, out=np.empty(xv.shape))
+    values = np.maximum(xv, 0.0, out=xv if inplace else np.empty(xv.shape))
     values *= SELU_LAMBDA
     shifted = np.subtract(expneg, 1.0)
     shifted *= SELU_LAMBDA * SELU_ALPHA
@@ -266,8 +278,12 @@ def selu(x) -> DiffTensor:
     return _node(values, (x,), backward)
 
 
-def gelu(x) -> DiffTensor:
-    """Gaussian error linear unit, exact form x * Phi(x)."""
+def gelu(x, inplace: bool = False) -> DiffTensor:
+    """Gaussian error linear unit, exact form x * Phi(x).
+
+    Its backward reads the input, so ``inplace`` (taken for the signature
+    it shares with :func:`selu`) leaves the input as it is.
+    """
     # imported here: scipy.special is most of the package's import time,
     # and only this non-default activation needs it
     from scipy.special import erf

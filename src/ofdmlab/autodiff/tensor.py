@@ -68,13 +68,17 @@ class DiffTensor:
     def __repr__(self):
         return f"DiffTensor(shape={self.values.shape}, requires_grad={self.requires_grad})"
 
-    def backward(self):
+    def backward(self, leaf_done=None):
         """Accumulate d(self)/d(leaf) into every reachable parameter's grad.
 
         One backward per graph; the tape is freed. Each non-leaf node drops
         its grad, closure and parents once its own backward has run, so the
         activations it held can be reclaimed before the next forward pass.
         A second ``backward()`` through a freed node raises RuntimeError.
+
+        ``leaf_done(leaf)``, if given, is called for each leaf as soon as
+        the backward of its last consumer has run: its grad is final then,
+        and nothing left on the tape reads the leaf's values.
         """
         if self.values.size != 1:
             raise ValueError("backward() requires a scalar")
@@ -95,13 +99,26 @@ class DiffTensor:
             for parent in node._parents:
                 if parent.requires_grad and id(parent) not in visited:
                     stack.append((parent, False))
+        consumers: dict[int, int] = {}   # leaf id -> consumers whose backward is still to run
+        if leaf_done is not None:
+            for node in topo:
+                for parent in node._parents:
+                    if parent._backward_fn is None:
+                        consumers[id(parent)] = consumers.get(id(parent), 0) + 1
         _accumulate(self, np.ones_like(self.values))
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
+                parents = node._parents
                 node.grad = None
                 node._backward_fn = _released
                 node._parents = ()
+                if leaf_done is not None:
+                    for parent in parents:
+                        if parent._backward_fn is None:
+                            consumers[id(parent)] -= 1
+                            if not consumers[id(parent)]:
+                                leaf_done(parent)
 
     # -- operator sugar ----------------------------------------------------
 

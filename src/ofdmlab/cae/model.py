@@ -66,11 +66,18 @@ class EncoderNet:
         """[B, 1, n_antennas, 2*n_time] -> power-normalized [B, n_antennas, 2*n_time]."""
         n_batch = x.values.shape[0]
         width = 2 * self.n_time
-        stage1_pre = self.bns[0](conv2d(x, self.conv_w[0], self.conv_b[0], padding=(0, 1)), train)
+        # Each batch norm normalizes its conv output in place. An activation
+        # writes over its input where nothing else reads it; the
+        # pre-activations of stages 1 and 3 also feed the skip add.
+        pad = (0, 1)
+        stage1_pre = self.bns[0](conv2d(x, self.conv_w[0], self.conv_b[0], padding=pad), train,
+                                 inplace=True)
         stage1 = self.act(stage1_pre)
-        stage2 = self.act(self.bns[1](conv2d(stage1, self.conv_w[1], self.conv_b[1], padding=(0, 1)), train))
-        stage3_pre = self.bns[2](conv2d(stage2, self.conv_w[2], self.conv_b[2], padding=(0, 1)), train)
-        merged = self.act(stage3_pre + stage1_pre)
+        stage2 = self.act(self.bns[1](conv2d(stage1, self.conv_w[1], self.conv_b[1], padding=pad),
+                                      train, inplace=True), inplace=True)
+        stage3_pre = self.bns[2](conv2d(stage2, self.conv_w[2], self.conv_b[2], padding=pad), train,
+                                 inplace=True)
+        merged = self.act(stage3_pre + stage1_pre, inplace=True)
         # shared per-antenna linear stage: [B, C, A, W] -> [B*A, C*W] -> [B, A, W]
         per_antenna = transpose(merged, (0, 2, 1, 3))
         flat = reshape(per_antenna, (n_batch * self.n_antennas, -1))
@@ -178,9 +185,12 @@ class DecoderNet:
                 hhx_rows * self.delta2[it],
             ], axis=1)
             features = reshape(features, (n_batch, 1, 3 * self.n_tx, 2 * self.n_subcarriers))
+            # conv -> batch norm -> activation, each writing over the last one's output
             pad = (self.conv_padding, self.conv_padding)
-            hidden = self.act(self.bn_a[it](conv2d(features, self.conv_a_w[it], self.conv_a_b[it], padding=pad), train))
-            hidden = self.act(self.bn_b[it](conv2d(hidden, self.conv_b_w[it], self.conv_b_b[it], padding=pad), train))
+            conv_a = conv2d(features, self.conv_a_w[it], self.conv_a_b[it], padding=pad)
+            hidden = self.act(self.bn_a[it](conv_a, train, inplace=True), inplace=True)
+            conv_b = conv2d(hidden, self.conv_b_w[it], self.conv_b_b[it], padding=pad)
+            hidden = self.act(self.bn_b[it](conv_b, train, inplace=True), inplace=True)
             flat = reshape(hidden, (n_batch, -1))
             out = linear(flat, self.fc_w[it], self.fc_b[it])
             if it < self.iterations - 1:

@@ -20,7 +20,7 @@ from ..autodiff import AdamW
 from ..autodiff.checkpoint import load_tensors, save_tensors
 from ..channel import draw_channel, noise_variance_for_psnr
 from ..config import ChannelConfig, RfConfig, SystemConfig, TrainSection, check_link
-from ..csvio import write_csv
+from ..csvio import check_finite, write_csv
 from ..errors import ConfigError, NumericError
 from ..modulation import bit_errors, pam_levels, qam_alphabet
 from .losses import LagrangianState, total_loss, update_multipliers
@@ -143,10 +143,12 @@ def _parameter_count(cfg: TrainConfig) -> int:
 def _training_bytes(cfg: TrainConfig) -> int:
     """Estimated peak bytes of :func:`train`, from the geometry alone.
 
-    Four parameter-sized float64 buffers (values, gradients and the two
-    Adam moments), plus per example five float64 arrays for every entry of
-    a convolution's output map, the tape's activations: the conv output,
-    batch norm's normalized input and output, SELU's exponential and output.
+    Three parameter-sized float64 buffers (values and the two Adam
+    moments; the fused step drops each gradient as soon as it is used),
+    plus per example three float64 arrays for every entry of a
+    convolution's output map, the tape's activations: batch norm's
+    normalized input (in the conv output's buffer), SELU's output (in batch
+    norm's) and SELU's exponential.
     """
     width = 2 * cfg.oversample * cfg.n_subcarriers
     d1, d2 = DECODER_CHANNELS
@@ -154,7 +156,7 @@ def _training_bytes(cfg: TrainConfig) -> int:
             + cfg.decoder_iterations * (
                 d1 * (3 * cfg.n_tx + 2) * (2 * cfg.n_subcarriers + 2)
                 + d2 * (3 * cfg.n_tx + 4) * (2 * cfg.n_subcarriers + 4)))
-    return 8 * (4 * _parameter_count(cfg) + 5 * cfg.batch_size * maps)
+    return 8 * (3 * _parameter_count(cfg) + 3 * cfg.batch_size * maps)
 
 
 def _available_bytes() -> int | None:
@@ -188,8 +190,10 @@ def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
     """Run the two-stage loop on batches drawn from the run seed.
 
     A run whose estimated memory exceeds the host's is refused before
-    anything is allocated. Non-finite losses abort with a diagnostic. Each
-    step's gradients are dropped once the optimizer has used them.
+    anything is allocated. A non-finite loss, or any non-finite value in
+    the log rows, aborts with a diagnostic before anything is written. The
+    optimizer updates each parameter during backward, as soon as its
+    gradient is final, and drops that gradient.
     """
     _check_memory(cfg)
     system = build_from_config(cfg)
@@ -215,10 +219,8 @@ def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
                     f"non-finite loss at epoch {epoch}, batch {global_batch}: "
                     f"l1={result.l1.item():g} l2a={result.l2a.item():g} "
                     f"l2b={result.l2b.item():g} l3={result.l3.item():g}")
-            loss.backward()
+            optimizer.backward_step(loss)
             grad_norm = optimizer.grad_norm()
-            optimizer.step()
-            optimizer.zero_grad()
             sums += [result.l1.item(), result.l2a.item(), result.l2b.item(),
                      result.l3.item(), grad_norm]
             global_batch += 1
@@ -230,6 +232,7 @@ def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
         if progress is not None:
             progress(epoch, rows[-1])
 
+    check_finite(LOG_HEADER, rows, "no checkpoint or log written")
     result = TrainResult(system, rows, state)
     if checkpoint_path is not None:
         save_system(checkpoint_path, system, cfg)

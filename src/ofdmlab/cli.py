@@ -19,6 +19,11 @@ from .config import (ExperimentConfig, RunConfig, changed_fields, check_link, ch
                      load_config, with_overrides)
 from .errors import ConfigError, NumericError
 
+try:
+    import resource
+except ImportError:   # not on Windows
+    resource = None
+
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors are configuration errors.
@@ -103,6 +108,14 @@ def _clock(seconds: float) -> str:
     return f"{seconds // 3600}:{seconds // 60 % 60:02d}:{seconds % 60:02d}"
 
 
+def _peak_rss_mb() -> float | None:
+    """This process's peak resident set size in MB; None where ``resource`` is missing."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024   # bytes there, KB here
+
+
 def _cmd_train(args) -> int:
     from .cae.training import train
     cfg = _load(args)
@@ -122,8 +135,11 @@ def _cmd_train(args) -> int:
         done = epoch * train_cfg.batches_per_epoch
         rate = done / (time.perf_counter() - start)
         left = (train_cfg.epochs - epoch) * train_cfg.batches_per_epoch
-        print(f"epoch {epoch}/{train_cfg.epochs}: {rate:.3g} batches/s, "
-              f"ETA {_clock(left / rate)}", file=sys.stderr)
+        line = f"epoch {epoch}/{train_cfg.epochs}: {rate:.3g} batches/s, ETA {_clock(left / rate)}"
+        peak = _peak_rss_mb()
+        if peak is not None:
+            line += f", peak RSS {peak:.0f} MB"
+        print(line, file=sys.stderr)
 
     result = train(train_cfg, checkpoint_path=out, log_path=log_path, progress=progress)
     print(f"checkpoint: {result.checkpoint_path}")

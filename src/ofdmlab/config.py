@@ -189,12 +189,13 @@ class TrainSection:
         # gradual_start_epoch == epochs + 1 runs pure reconstruction training
         if not 1 <= self.gradual_start_epoch <= self.epochs + 1:
             raise ConfigError("gradual_start_epoch must lie within [1, epochs + 1]")
-        for name in ("rho_2a", "rho_2b", "rho_3"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(f"{name} must be positive")
-        if not self.lambda_3 >= 0.0:
-            raise ConfigError("lambda_3 must be >= 0")
-        for name in ("lr", "weight_decay", "acpr_req_db", "init_scale"):
+        # init_scale <= 0 draws all-zero weights (a nan loss) or an inverted range
+        for name in ("rho_2a", "rho_2b", "rho_3", "init_scale"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
+        if not 0.0 <= self.lambda_3 < math.inf:
+            raise ConfigError("lambda_3 must be finite and >= 0")
+        for name in ("lr", "weight_decay", "lambda_2a", "lambda_2b", "acpr_req_db"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         check_range("train_snr_db", self.train_snr_db, _SNR_RANGE_DB, " dB")

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
+
+from .errors import NumericError
 
 
 def format_value(value) -> str:
@@ -16,6 +19,14 @@ def render_csv(header: list[str], rows: list[tuple]) -> str:
     for row in rows:
         lines.append(",".join(format_value(v) for v in row))
     return "\n".join(lines) + "\n"
+
+
+def check_finite(header: list[str], rows: list[tuple], unwritten: str = "no CSV written"):
+    """NumericError naming the first float in ``rows`` that is not finite."""
+    for row in rows:
+        for name, value in zip(header, row):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise NumericError(f"{name} is {value} at {header[0]} = {row[0]}; {unwritten}")
 
 
 def write_csv(path, header: list[str], rows: list[tuple]) -> str:

@@ -25,9 +25,9 @@ from .cae import pipeline as cae_pipeline
 from .cae.training import load_system
 from .channel import MultipathTaps, apply_channel, draw_channel, noise_variance_for_psnr
 from .config import ExperimentConfig, changed_fields
-from .csvio import write_csv
+from .csvio import check_finite, write_csv
 from .dsp import dft_unpad, estimate_psd, idft_oversampled, papr_mimo
-from .errors import ConfigError, NumericError
+from .errors import ConfigError
 from .modulation import OfdmGrid, bit_errors, qam_alphabet
 from .rf import acpr, apply_ibo, bandpass_filter, bussgang_alpha, obo, rapp_amplify
 
@@ -242,11 +242,7 @@ class _FrameChain:
 
 def _write_finite(path, header: list[str], rows: list[tuple]) -> str:
     """``write_csv``, refused with a NumericError if a value in ``rows`` is not finite."""
-    for row in rows:
-        for name, value in zip(header, row):
-            if isinstance(value, float) and not np.isfinite(value):
-                raise NumericError(f"{name} is {value} at {header[0]} = {row[0]}; "
-                                   "no CSV written")
+    check_finite(header, rows)
     return write_csv(path, header, rows)
 
 

@@ -252,6 +252,43 @@ class TestAdamW:
         with pytest.raises(ValueError):
             opt.step()
 
+    def test_backward_step_equals_backward_then_step(self):
+        """The fused step: same values, moments and grad_norm; every grad dropped."""
+        rng = np.random.default_rng(12)
+        init = {"shared": rng.standard_normal((3, 4)), "squared": rng.standard_normal(4),
+                "scale": rng.standard_normal(()), "unused": rng.standard_normal(2)}
+        runs = []
+        for fused in (False, True):
+            params = {k: parameter(v) for k, v in init.items()}
+            opt = AdamW(params, lr=0.01, weight_decay=0.1)
+            for _ in range(3):
+                p = params
+                h = linear(DiffTensor(np.ones((2, 4))), p["shared"])
+                loss = tsum(h * p["scale"]) + tsum(p["shared"]) + tsum(p["squared"] * p["squared"])
+                if fused:
+                    opt.backward_step(loss)
+                else:
+                    loss.backward()
+                    opt.step()
+                assert all(q.grad is None for q in params.values())
+            runs.append((params, opt))
+        (ref, opt_ref), (new, opt_new) = runs
+        assert opt_new.grad_norm() == opt_ref.grad_norm() > 0.0
+        for k in init:
+            assert np.array_equal(new[k].values, ref[k].values)
+            assert np.array_equal(opt_new.m[k], opt_ref.m[k])
+            assert np.array_equal(opt_new.v[k], opt_ref.v[k])
+
+    def test_leaf_handed_over_once_with_its_final_grad(self):
+        w, u = parameter([1.0, 2.0]), parameter([3.0])
+        seen = []
+        loss = tsum(w * w) + tsum(w * u) + tsum(u)   # w has two consumers, one twice
+        loss.backward(leaf_done=lambda leaf: seen.append((leaf, leaf.grad.copy())))
+        assert [leaf for leaf, _ in seen] in ([w, u], [u, w])
+        grads = {id(leaf): grad for leaf, grad in seen}
+        assert np.array_equal(grads[id(w)], 2.0 * w.values + u.values)
+        assert np.array_equal(grads[id(u)], [w.values.sum() + 1.0])
+
 
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):

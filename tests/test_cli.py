@@ -1,8 +1,11 @@
 """Command-line surface: subcommands, overrides, exit codes."""
 
+import re
+
 import numpy as np
 import pytest
 
+from ofdmlab import cli
 from ofdmlab.cli import main
 
 BASE = """
@@ -367,6 +370,10 @@ BAD_RECIPES = {   # [train] lines -> words of the message
     "rho_3 = nan": "rho_3",
     "lambda_3 = -0.5": "lambda_3",
     "lr = nan": "lr",
+    # accepted before: a log CSV with a nan multiplier and exit 0
+    "epochs = 1\ngradual_start_epoch = 2\nlambda_2a = nan": "lambda_2a must be finite",
+    "lambda_2a = nan": "lambda_2a must be finite",
+    "lambda_2b = -inf": "lambda_2b must be finite",
     "weight_decay = inf": "weight_decay",
     "train_snr_db = -inf": "train_snr_db",
     # 1e300 overflowed in the noise variance; the range is [run] p_snr_db's
@@ -374,6 +381,12 @@ BAD_RECIPES = {   # [train] lines -> words of the message
     "train_snr_db = -100.5": "train_snr_db must lie within [-100, 400] dB",
     "acpr_req_db = nan": "acpr_req_db",
     "init_scale = inf": "init_scale",
+    # -0 crashed in the weight draw; 0 drew all-zero weights and a nan loss
+    "init_scale = -0": "init_scale must be positive and finite",
+    "init_scale = 0": "init_scale must be positive and finite",
+    # inf ended the first epoch as a numeric error
+    "lambda_3 = inf": "lambda_3 must be finite and >= 0",
+    "rho_3 = inf": "rho_3 must be positive and finite",
 }
 
 
@@ -440,7 +453,7 @@ class TestBadTrainingRecipe:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert BAD_RECIPES[lines] in err[0]
-        assert not out.exists()
+        assert not out.exists() and not out.with_suffix(".log.csv").exists()
 
 
 def _small_checkpoint(path):
@@ -572,6 +585,25 @@ class TestSubcommands:
         assert lines[0] == "method,acpr_db,obo_db"
         assert lines[1] == lines[2]
 
+    @pytest.mark.parametrize("platform,maxrss,mb", [("linux", 3 << 10, 3.0),
+                                                     ("darwin", 3 << 20, 3.0)])
+    def test_peak_rss_units(self, monkeypatch, platform, maxrss, mb):
+        class Usage:
+            ru_maxrss = maxrss
+
+        class Resource:
+            RUSAGE_SELF = 0
+
+            @staticmethod
+            def getrusage(who):
+                return Usage
+
+        monkeypatch.setattr(cli, "resource", Resource)
+        monkeypatch.setattr(cli.sys, "platform", platform)
+        assert cli._peak_rss_mb() == mb
+        monkeypatch.setattr(cli, "resource", None)
+        assert cli._peak_rss_mb() is None
+
     def test_train_writes_checkpoint_and_log(self, tmp_path, capsys):
         path = tmp_path / "train.cfg"
         path.write_text("""
@@ -603,6 +635,7 @@ decoder_iterations = 2
         stderr = capsys.readouterr().err.splitlines()
         assert len(stderr) == 2
         assert stderr[-1].startswith("epoch 2/2: ") and "batches/s, ETA 0:00:00" in stderr[-1]
+        assert re.search(r", peak RSS \d+ MB$", stderr[-1]), stderr[-1]
         from ofdmlab.cae.training import train
         from ofdmlab.cli import train_config
         from ofdmlab.config import load_config

@@ -6,6 +6,9 @@ linear, per-parameter AdamW and the backward pass that keeps the tape.
 The fast kernels must match them bit for bit: values, gradients, output
 memory layout, and whole training runs down to the log and checkpoint
 bytes. Shapes are the acceptance-9 smoke geometry (2x2, K=16, L=4, batch 32).
+The batch-norm and SELU oracles take the model's ``inplace`` keyword and
+ignore it; ``AdamWRef.backward_step`` runs backward and then the oracle's
+step, in place of the step fused into backward.
 """
 
 import gc
@@ -97,7 +100,7 @@ def linear_ref(x, weights, bias=None) -> DiffTensor:
 
 
 def batch_norm_ref(x, gamma, beta, running_mean, running_var, train: bool,
-                   momentum: float = 0.1, eps: float = 1e-5) -> DiffTensor:
+                   momentum: float = 0.1, eps: float = 1e-5, inplace: bool = False) -> DiffTensor:
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.values.ndim == 2:
         axes = (0,)
@@ -144,7 +147,7 @@ def batch_norm_ref(x, gamma, beta, running_mean, running_var, train: bool,
     return _node(out, (x, gamma, beta), backward)
 
 
-def selu_ref(x) -> DiffTensor:
+def selu_ref(x, inplace: bool = False) -> DiffTensor:
     x = as_tensor(x)
     flat = x.values.reshape(-1)
     neg = flat <= 0
@@ -204,6 +207,12 @@ class AdamWRef:
             if p.grad is not None:
                 total += float(np.sum(p.grad ** 2))
         return float(np.sqrt(total))
+
+    def backward_step(self, loss):
+        """Stand-in for the fused step: backward, then step; grad_norm() still reads the grads."""
+        self.zero_grad()
+        loss.backward()
+        self.step()
 
 
 def backward_ref(self):
@@ -347,6 +356,47 @@ def test_selu_exact(shape, x_nhwc):
     assert out_new.flags.c_contiguous and g_new.flags.c_contiguous
 
 
+@pytest.mark.parametrize("shape", [(B, 21, 2, 128), (B, 21, 10, 36)])
+@pytest.mark.parametrize("train", [True, False])
+def test_batch_norm_inplace_exact(shape, train):
+    """In place on a conv output: the oracle's values and grads, a C-ordered output."""
+    rng = np.random.default_rng(3)
+    x = nhwc(rng, shape)
+    c = shape[1]
+    results = []
+    for op, inplace in ((batch_norm_ref, False), (layers.batch_norm, True)):
+        running_mean = np.linspace(-0.5, 0.5, c)
+        running_var = np.linspace(0.5, 1.5, c)
+        out, grads = run_op(
+            lambda xt, gt, bt, op=op, rm=running_mean, rv=running_var, inplace=inplace:
+                op(xt, gt, bt, rm, rv, train, inplace=inplace),
+            [x, 1.0 + 0.1 * np.arange(c), 0.01 * np.arange(c)], {}, 4)
+        results.append((out, grads, running_mean, running_var))
+    (out_ref, grads_ref, rm_ref, rv_ref), (out_new, grads_new, rm_new, rv_new) = results
+    assert_same(out_new, out_ref, layout=False)
+    assert out_new.flags.c_contiguous
+    for g_new, g_ref in zip(grads_new, grads_ref):
+        assert_same(g_new, g_ref, layout=False)
+    assert_same(rm_new, rm_ref)
+    assert_same(rv_new, rv_ref)
+
+
+def test_selu_inplace_exact():
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal((B, 21, 10, 36))
+    x[0, 0, 0, :3] = (0.0, -0.0, -800.0)
+    out_ref, (g_ref,) = run_op(selu_ref, [x], {}, 8)
+    xt = leaf(x.copy())
+    buffer = xt.values
+    out = layers.selu(xt, inplace=True)
+    tsum(out * np.random.default_rng(8).standard_normal(x.shape)).backward()
+    assert out.values is buffer
+    assert_same(out.values, out_ref)
+    assert_same(xt.grad, g_ref)
+    with pytest.raises(ValueError, match="C-contiguous"):
+        layers.selu(leaf(nhwc(rng, (2, 3, 4, 5))), inplace=True)
+
+
 @pytest.mark.parametrize("x_shape,w_shape", [((2 * B, 2688), (128, 2688)),
                                              ((B, 7560), (64, 7560)),
                                              ((B, 7560), (128, 7560)),
@@ -382,9 +432,10 @@ def test_adamw_exact_with_linear_weight_layout():
             g = np.array(rng.standard_normal(s))
             ref[k].grad = np.asfortranarray(g) if g.ndim == 2 else g.copy()
             new[k].grad = g.copy()
-        assert opt_new.grad_norm() == opt_ref.grad_norm()
+        expected_norm = opt_ref.grad_norm()
         opt_ref.step()
         opt_new.step()
+        assert opt_new.grad_norm() == expected_norm
         for k in shapes:
             assert_same(new[k].values, ref[k].values)
             assert_same(opt_new.m[k], opt_ref.m[k])
@@ -450,8 +501,8 @@ def test_decoder_activation_freed_after_backward(monkeypatch):
     refs = []
     act = system.decoder.act
 
-    def recording_act(x):
-        out = act(x)
+    def recording_act(x, **kwargs):
+        out = act(x, **kwargs)
         refs.append(weakref.ref(out))
         return out
 
@@ -491,6 +542,57 @@ def test_conv2d_tape_holds_no_im2col_matrix():
         tracemalloc.stop()
     assert out.requires_grad
     assert held - out.values.nbytes < cols_bytes
+
+
+def test_conv_block_holds_three_maps():
+    """Decoder conv_b, train mode: conv -> batch norm -> SELU keeps three output maps.
+
+    x_hat (in the conv output's buffer), SELU's output (in batch norm's)
+    and SELU's exponential; the conv output, a separate x_hat and a
+    separate SELU output are not kept.
+    """
+    n, c_in, h, w = B, 15, 8, 34
+    c_out = 21
+    rng = np.random.default_rng(14)
+    x = leaf(rng.standard_normal((n, c_in, h, w)))
+    weights = leaf(rng.standard_normal((c_out, c_in, 3, 3)))
+    bias = leaf(rng.standard_normal(c_out))
+    bn = layers.BatchNorm(c_out)
+    map_bytes = 8 * n * c_out * (h + 2) * (w + 2)
+    layers.conv2d(x, weights, bias, padding=(2, 2))   # fills the cached im2col index
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        conv = layers.conv2d(x, weights, bias, padding=(2, 2))
+        out = layers.selu(bn(conv, True, inplace=True), inplace=True)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert 3 * map_bytes <= held < 3 * map_bytes + (1 << 16)
+
+
+def test_one_decoder_fc_gradient_alive_during_backward(monkeypatch):
+    """The fused step drops each FC weight gradient before the next one is formed."""
+    system = build_system(2, 2, 16, 4, 4, ibo_db=9.0, iterations=4, seed=1)
+    fc_w = system.decoder.fc_w
+    alive = []
+    accumulate = layers._accumulate
+
+    def counting(node, grad, owned=False):
+        accumulate(node, grad, owned)
+        alive.append(sum(w.grad is not None for w in fc_w))
+
+    monkeypatch.setattr(layers, "_accumulate", counting)
+    rng = training.counter_rng(1, 0, 1)
+    grids, h, noise = training.make_batch(rng, replace(SMOKE, batch_size=4), 1e-4)
+    result = system.run_batch(grids, h, noise, rng, train=True)
+    optimizer = AdamW(system.parameters())
+    optimizer.backward_step(result.l1)
+    assert max(alive) == 1
+    assert all(p.grad is None for p in system.parameters().values())
+    assert optimizer.grad_norm() > 0.0
 
 
 def test_grads_released_after_each_step(monkeypatch):
