@@ -41,7 +41,11 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
 
 
 def load_tensors(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into an ordered name -> array mapping."""
+    """Read a checkpoint back into an ordered name -> array mapping.
+
+    The arrays are read-only views of the file's bytes, copied by no one
+    but the caller.
+    """
     path = Path(path)
     data = path.read_bytes()
     if data[:4] != MAGIC:
@@ -62,5 +66,5 @@ def load_tensors(path) -> dict[str, np.ndarray]:
         n_values = int(np.prod(dims)) if ndim else 1
         array = np.frombuffer(data, dtype="<f8", count=n_values, offset=offset)
         offset += 8 * n_values
-        out[name] = array.reshape(dims).astype(np.float64)
+        out[name] = array.reshape(dims)
     return out

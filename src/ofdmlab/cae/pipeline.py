@@ -185,12 +185,19 @@ def build_system(n_tx: int, n_rx: int, n_subcarriers: int, oversample: int,
                  init_scale: float = 1.0, seed: int = 0) -> CaeSystem:
     """Construct a freshly initialized system for a given link geometry."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(101,)))
-    n_levels = pam_levels(mod_order).size
-    encoder = EncoderNet(n_tx, oversample * n_subcarriers, activation=activation,
+    return _assemble_system(SystemConfig(n_tx, n_rx, n_subcarriers, oversample, mod_order),
+                            RfConfig(ibo_db=ibo_db, smoothness=smoothness,
+                                     total_power=total_power),
+                            acpr_req_db, iterations, activation, init_scale, rng)
+
+
+def _assemble_system(geometry: SystemConfig, rf: RfConfig, acpr_req_db: float,
+                     iterations: int, activation: str, init_scale: float, rng) -> CaeSystem:
+    """The system of :func:`build_system`, its weights drawn by ``rng.uniform``."""
+    g = geometry
+    encoder = EncoderNet(g.n_tx, g.oversample * g.n_subcarriers, activation=activation,
                          rng=rng, init_scale=init_scale)
-    decoder = DecoderNet(n_tx, n_rx, n_subcarriers, n_levels, iterations=iterations,
-                         activation=activation, rng=rng, init_scale=init_scale)
-    return CaeSystem(encoder, decoder,
-                     SystemConfig(n_tx, n_rx, n_subcarriers, oversample, mod_order),
-                     RfConfig(ibo_db=ibo_db, smoothness=smoothness, total_power=total_power),
-                     acpr_req_db)
+    decoder = DecoderNet(g.n_tx, g.n_rx, g.n_subcarriers, pam_levels(g.mod_order).size,
+                         iterations=iterations, activation=activation, rng=rng,
+                         init_scale=init_scale)
+    return CaeSystem(encoder, decoder, geometry, rf, acpr_req_db)

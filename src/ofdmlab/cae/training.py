@@ -25,7 +25,7 @@ from ..errors import ConfigError, NumericError
 from ..modulation import bit_errors, pam_levels, qam_alphabet
 from .losses import LagrangianState, total_loss, update_multipliers
 from .model import DECODER_CHANNELS, ENCODER_CHANNELS
-from .pipeline import CaeSystem, build_system
+from .pipeline import CaeSystem, _assemble_system, build_system
 
 LOG_HEADER = ["epoch", "l1", "l2a", "l2b", "l3",
               "lambda_2a", "lambda_2b", "lambda_3", "grad_norm"]
@@ -190,10 +190,11 @@ def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
     """Run the two-stage loop on batches drawn from the run seed.
 
     A run whose estimated memory exceeds the host's is refused before
-    anything is allocated. A non-finite loss, or any non-finite value in
-    the log rows, aborts with a diagnostic before anything is written. The
-    optimizer updates each parameter during backward, as soon as its
-    gradient is final, and drops that gradient.
+    anything is allocated. A non-finite loss or log value, or a non-finite
+    entry of the checkpoint to be written, aborts with a diagnostic before
+    anything is written, and numpy does not warn on the way. The optimizer
+    updates each parameter during backward, as soon as its gradient is
+    final, and drops that gradient.
     """
     _check_memory(cfg)
     system = build_from_config(cfg)
@@ -205,32 +206,34 @@ def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
 
     rows: list[tuple] = []
     global_batch = 0
-    for epoch in range(1, cfg.epochs + 1):
-        al_active = epoch >= cfg.gradual_start_epoch
-        sums = np.zeros(5)
-        for _ in range(cfg.batches_per_epoch):
-            rng = counter_rng(cfg.seed, global_batch, _DATA_STREAM)
-            grids, h, noise = make_batch(rng, cfg, sigma_w2)
-            result = system.run_batch(grids, h, noise, rng, train=True)
-            loss = (total_loss(result.l1, result.l2a, result.l2b, result.l3, state)
-                    if al_active else result.l1)
-            if not np.isfinite(loss.values):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch {global_batch}: "
-                    f"l1={result.l1.item():g} l2a={result.l2a.item():g} "
-                    f"l2b={result.l2b.item():g} l3={result.l3.item():g}")
-            optimizer.backward_step(loss)
-            grad_norm = optimizer.grad_norm()
-            sums += [result.l1.item(), result.l2a.item(), result.l2b.item(),
-                     result.l3.item(), grad_norm]
-            global_batch += 1
-        means = sums / cfg.batches_per_epoch
-        rows.append((epoch, means[0], means[1], means[2], means[3],
-                     state.lambda_2a, state.lambda_2b, state.lambda_3, means[4]))
-        if al_active:
-            state = update_multipliers(state, means[1], means[2], means[3])
-        if progress is not None:
-            progress(epoch, rows[-1])
+    # A value that overflows ends the run at the checks below, not in numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            al_active = epoch >= cfg.gradual_start_epoch
+            sums = np.zeros(5)
+            for _ in range(cfg.batches_per_epoch):
+                rng = counter_rng(cfg.seed, global_batch, _DATA_STREAM)
+                grids, h, noise = make_batch(rng, cfg, sigma_w2)
+                result = system.run_batch(grids, h, noise, rng, train=True)
+                loss = (total_loss(result.l1, result.l2a, result.l2b, result.l3, state)
+                        if al_active else result.l1)
+                if not np.isfinite(loss.values):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch}, batch {global_batch}: "
+                        f"l1={result.l1.item():g} l2a={result.l2a.item():g} "
+                        f"l2b={result.l2b.item():g} l3={result.l3.item():g}")
+                optimizer.backward_step(loss)
+                grad_norm = optimizer.grad_norm()
+                sums += [result.l1.item(), result.l2a.item(), result.l2b.item(),
+                         result.l3.item(), grad_norm]
+                global_batch += 1
+            means = sums / cfg.batches_per_epoch
+            rows.append((epoch, means[0], means[1], means[2], means[3],
+                         state.lambda_2a, state.lambda_2b, state.lambda_3, means[4]))
+            if al_active:
+                state = update_multipliers(state, means[1], means[2], means[3])
+            if progress is not None:
+                progress(epoch, rows[-1])
 
     check_finite(LOG_HEADER, rows, "no checkpoint or log written")
     result = TrainResult(system, rows, state)
@@ -246,34 +249,49 @@ def train(cfg: TrainConfig, checkpoint_path=None, log_path=None,
 
 
 def save_system(path, system: CaeSystem, cfg: TrainConfig):
-    """Serialize parameters, batch-norm buffers, and rebuild metadata."""
+    """Serialize parameters, batch-norm buffers, and rebuild metadata.
+
+    A non-finite parameter or buffer entry is a NumericError, raised before
+    anything is written.
+    """
+    state = {**{name: p.values for name, p in system.parameters().items()},
+             **system.buffers()}
+    for name, values in state.items():
+        if not np.all(np.isfinite(values)):
+            raise NumericError(f"{name} holds a non-finite value; nothing written")
     meta = {**asdict(cfg.system), "decoder_iterations": cfg.decoder_iterations,
             "activation": ACTIVATION_CODES[cfg.activation], "ibo_db": cfg.ibo_db,
             "total_power": cfg.total_power, "smoothness": cfg.smoothness,
             "acpr_req_db": cfg.acpr_req_db}
     tensors = {f"meta/{name}": np.array(float(value)) for name, value in meta.items()}
-    for name, p in system.parameters().items():
-        tensors[name] = p.values
-    for name, buf in system.buffers().items():
-        tensors[name] = buf
-    save_tensors(path, tensors)
+    save_tensors(path, {**tensors, **state})
+
+
+class _Unfilled:
+    """Stands in for the weight generator of a system a checkpoint fills: no draws."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.empty(size)
 
 
 def load_system(path) -> CaeSystem:
     """Rebuild a system from a checkpoint written by :func:`save_system`.
 
-    A missing, truncated or foreign file, or one that lacks an entry the
-    rebuilt system needs, is a ConfigError naming the path.
+    The system is built with unfilled weights, and each checkpoint tensor is
+    copied once, into its parameter or buffer. A missing, truncated or
+    foreign file, or one that lacks an entry the rebuilt system needs, is a
+    ConfigError naming the path.
     """
     try:
         tensors = load_tensors(path)
         meta = {k.split("/", 1)[1]: float(v) for k, v in tensors.items() if k.startswith("meta/")}
         activation = {v: k for k, v in ACTIVATION_CODES.items()}[int(meta["activation"])]
-        system = build_system(
-            **{f.name: int(meta[f.name]) for f in fields(SystemConfig)}, ibo_db=meta["ibo_db"],
-            total_power=meta["total_power"], smoothness=meta["smoothness"],
-            acpr_req_db=meta["acpr_req_db"], iterations=int(meta["decoder_iterations"]),
-            activation=activation)
+        system = _assemble_system(
+            SystemConfig(**{f.name: int(meta[f.name]) for f in fields(SystemConfig)}),
+            RfConfig(ibo_db=meta["ibo_db"], smoothness=meta["smoothness"],
+                     total_power=meta["total_power"]),
+            meta["acpr_req_db"], int(meta["decoder_iterations"]), activation, 1.0, _Unfilled)
         for name, p in system.parameters().items():
             p.values[...] = tensors[name]
         for name, buf in system.buffers().items():

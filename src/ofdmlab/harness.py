@@ -6,7 +6,8 @@ draws stay per frame, the arithmetic runs on the block's stacked arrays and
 gives the same values as one frame at a time, so results are identical for
 any block size, worker count and rerun. A block that uses up each frame's
 stream before the next frame's starts re-keys one generator from frame to
-frame. Workers are threads that take whole blocks; numpy releases the GIL
+frame. A block's symbol grids come from one raw-word draw per frame and one
+gather for the block, bit for bit the grids of ``OfdmGrid.random``. Workers are threads that take whole blocks; numpy releases the GIL
 in the heavy kernels.
 """
 
@@ -77,6 +78,37 @@ def frame_streams(seed: int, frames: range, point_index: int = 0):
         yield rng
 
 
+def _draw_symbols(streams, n_frames: int, n_antennas: int, n_subcarriers: int,
+                  alphabet: np.ndarray, then=None) -> tuple[np.ndarray, list]:
+    """Symbols [F, A, K] of a block, each frame's grid the first draw of its stream.
+
+    ``streams`` yields each frame's generator at the start of its stream.
+    A frame's grid is the top log2(M) bits of the 32-bit halves of its
+    stream's first ceil(A*K/2) raw words, low half first, gathered through
+    the M-point ``alphabet``: for a power-of-two M, numpy's bounded integers
+    never reject, so these are the draws of :meth:`OfdmGrid.random`, one
+    ``random_raw`` call per frame. An odd A*K leaves the last word's high
+    half in the generator's buffer, as those draws do, so that ``then(rng)``,
+    called on each frame's stream right after its grid, draws the same
+    values as it would after them. Returns the symbols and ``then``'s results.
+    """
+    n_symbols = n_antennas * n_subcarriers
+    words = np.empty((n_frames, (n_symbols + 1) // 2), dtype="<u8")
+    after = []
+    for f, rng in enumerate(streams):
+        bit_generator = rng.bit_generator
+        words[f] = bit_generator.random_raw(words.shape[1])
+        if n_symbols % 2:
+            state = bit_generator.state
+            state["has_uint32"], state["uinteger"] = 1, int(words[f, -1] >> 32)
+            bit_generator.state = state
+        if then is not None:
+            after.append(then(rng))
+    halves = words.view("<u4")[:, :n_symbols]
+    top = 32 - (alphabet.size.bit_length() - 1)
+    return alphabet[(halves >> top).reshape(n_frames, n_antennas, n_subcarriers)], after
+
+
 class _FrameChain:
     """Per-run state shared by all frames: codebook, amplifier, detector, checkpoint.
 
@@ -90,6 +122,7 @@ class _FrameChain:
         self.cfg = cfg
         self.params = cfg.rf.rapp_params(cfg.system.n_tx)
         self.profile = cfg.channel.model()
+        self.alphabet = qam_alphabet(cfg.system.mod_order)
         self.book = None
         self.system = None
         self.detect = None
@@ -116,8 +149,9 @@ class _FrameChain:
 
     # -- transmit side -------------------------------------------------------
 
-    def filtered_block(self, grids: list[OfdmGrid]) -> tuple[np.ndarray, np.ndarray | None]:
-        """Method-specific band-limited [F, A, N] block plus SLM phases [F, K] if any.
+    def filtered_block(self, symbols: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Method-specific band-limited [F, A, N] block of symbols [F, A, K], plus
+        SLM phases [F, K] if any.
 
         SLM picks each frame's candidate on its own (a stacked candidate
         search falls out of cache), and the CAE encodes one frame per pass
@@ -127,15 +161,17 @@ class _FrameChain:
         oversample = cfg.system.oversample
         if cfg.method.name == "cae":
             with no_grad():
-                rows = [self.system.transmit(g.symbols[None], train=False)["filtered"].values()[0]
-                        for g in grids]
+                rows = [self.system.transmit(frame[None], train=False)["filtered"].values()[0]
+                        for frame in symbols]
             return np.stack(rows), None
         if cfg.method.name == "slm":
-            encoded = [baselines.slm_encode(g, self.book, oversample) for g in grids]
+            order = cfg.system.mod_order
+            encoded = [baselines.slm_encode(OfdmGrid._unchecked(frame, order), self.book,
+                                            oversample) for frame in symbols]
             raw = np.stack([samples for samples, _ in encoded])
             return (bandpass_filter(raw, oversample),
                     self.book.phases[[index for _, index in encoded]])
-        raw = idft_oversampled(np.stack([g.symbols for g in grids]), oversample)
+        raw = idft_oversampled(symbols, oversample)
         if cfg.method.name == "cf":
             return baselines.clip_and_filter(raw, cfg.method.clip_ratio_db, oversample), None
         return bandpass_filter(raw, oversample), None
@@ -143,9 +179,9 @@ class _FrameChain:
     def drawn_block(self, frames: range) -> np.ndarray:
         """The band-limited [F, A, N] block of a transmit-only run's ``frames``."""
         s = self.cfg.system
-        grids = [OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
-                 for rng in frame_streams(self.cfg.run.seed, frames)]
-        return self.filtered_block(grids)[0]
+        symbols, _ = _draw_symbols(frame_streams(self.cfg.run.seed, frames), len(frames),
+                                   s.n_tx, s.n_subcarriers, self.alphabet)
+        return self.filtered_block(symbols)[0]
 
     def amplified(self, filtered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """IBO + amplifier; returns (backed_off, amplified).
@@ -180,20 +216,20 @@ class _FrameChain:
         cfg = self.cfg
         k, order = cfg.system.n_subcarriers, cfg.system.mod_order
         rngs = [frame_rng(cfg.run.seed, i, point_index) for i in frames]
-        draws = [self._link_draw(rng, sigma_w2) for rng in rngs]
-        grids = [grid for grid, _ in draws]
-        filtered, phases = self.filtered_block(grids)
+        symbols, chans = _draw_symbols(rngs, len(frames), cfg.system.n_tx, k, self.alphabet,
+                                       lambda rng: self._channel(rng, sigma_w2))
+        filtered, phases = self.filtered_block(symbols)
         _, amplified = self.amplified(filtered)
         x_freq = dft_unpad(amplified, k)                             # [F, n_tx, K]
         detected = []
-        for f, (rng, (_, chan)) in enumerate(zip(rngs, draws)):
+        for f, (rng, chan) in enumerate(zip(rngs, chans)):
             y = apply_channel(x_freq[f].T, chan, rng)
             y = y / self._gain(filtered, amplified, f)
             got = self.detect(chan, y, order)
             if phases is not None:
                 got = got * np.conj(phases[f])[None, :]
             detected.append(got)
-        return bit_errors(np.stack([g.symbols for g in grids]), np.stack(detected), order)
+        return bit_errors(symbols, np.stack(detected), order)
 
     def cae_ber_block(self, frames: range, point_index: int,
                       sigma_w2: float) -> tuple[int, int]:
@@ -205,25 +241,24 @@ class _FrameChain:
         """
         cfg = self.cfg
         k, n_rx = cfg.system.n_subcarriers, cfg.system.n_rx
-        grids, hs, noises, starts = [], [], [], []
-        for rng in frame_streams(cfg.run.seed, frames, point_index):
-            grid, chan = self._link_draw(rng, sigma_w2)
+
+        def after_grid(rng):
+            chan = self._channel(rng, sigma_w2)
             noise = (rng.standard_normal((k, n_rx)) + 1j * rng.standard_normal((k, n_rx))) \
                 * np.sqrt(chan.sigma_w2 / 2.0)
-            grids.append(grid.symbols)
-            hs.append(chan.h)
-            noises.append(noise)
-            starts.append(self.system.decoder.initial_estimate(rng, 1)[0])
-        grids = np.stack(grids)
-        hard = self.system.detect(grids, np.stack(hs), np.stack(noises), np.stack(starts))
-        return bit_errors(grids, hard, cfg.system.mod_order)
+            return chan.h, noise, self.system.decoder.initial_estimate(rng, 1)[0]
 
-    def _link_draw(self, rng: np.random.Generator, sigma_w2: float):
-        """A frame's symbol grid and channel, the first draws of its stream."""
+        symbols, draws = _draw_symbols(frame_streams(cfg.run.seed, frames, point_index),
+                                       len(frames), cfg.system.n_tx, k, self.alphabet,
+                                       after_grid)
+        hs, noises, starts = (np.stack(column) for column in zip(*draws))
+        hard = self.system.detect(symbols, hs, noises, starts)
+        return bit_errors(symbols, hard, cfg.system.mod_order)
+
+    def _channel(self, rng: np.random.Generator, sigma_w2: float):
+        """A frame's channel, the draws of its stream right after its grid."""
         s = self.cfg.system
-        grid = OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
-        chan = draw_channel(rng, s.n_subcarriers, s.n_tx, s.n_rx, self.profile, sigma_w2)
-        return grid, chan
+        return draw_channel(rng, s.n_subcarriers, s.n_tx, s.n_rx, self.profile, sigma_w2)
 
     def ccdf_block(self, frames: range) -> np.ndarray:
         """Worst-antenna PAPR (dB) of each band-limited frame, [F]."""

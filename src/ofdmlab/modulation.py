@@ -134,8 +134,13 @@ class OfdmGrid:
         if n_antennas < 1 or n_subcarriers < 1:
             raise ValueError("grid must be a non-empty 2-D complex matrix")
         idx = rng.integers(0, alphabet.size, size=(n_antennas, n_subcarriers))
+        return cls._unchecked(alphabet[idx], order)
+
+    @classmethod
+    def _unchecked(cls, symbols: np.ndarray, order: int) -> "OfdmGrid":
+        """A grid of complex128 alphabet points, built without the on-alphabet check."""
         grid = object.__new__(cls)
-        object.__setattr__(grid, "symbols", alphabet[idx])
+        object.__setattr__(grid, "symbols", symbols)
         object.__setattr__(grid, "constellation_order", order)
         return grid
 

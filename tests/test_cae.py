@@ -328,3 +328,46 @@ class TestCheckpointRoundTrip:
             a = system.run_batch(grids, h, noise, np.random.default_rng(4), train=False)
             b = clone.run_batch(grids, h, noise, np.random.default_rng(4), train=False)
         assert np.array_equal(a.logits.values, b.logits.values)
+
+    def test_load_copies_each_tensor_once_and_draws_nothing(self, tmp_path, monkeypatch):
+        """The loaded parameters and buffers hold the checkpoint's bits in arrays of
+        their own; the weights are never drawn, and the file's tensors are views."""
+        from ofdmlab.autodiff.checkpoint import load_tensors
+        from ofdmlab.cae import model
+        cfg = TrainConfig(n_tx=2, n_rx=2, n_subcarriers=8, oversample=4, mod_order=4,
+                          channel_taps=0, decoder_iterations=2, seed=3)
+        system = build_system(2, 2, 8, 4, 4, ibo_db=6.0, iterations=2, seed=3)
+        for buf in system.buffers().values():
+            buf[...] = np.random.default_rng(1).uniform(0.5, 2.0, buf.shape)
+        path = tmp_path / "model.bin"
+        save_system(path, system, cfg)
+        stored = load_tensors(path)
+        assert not any(v.flags.writeable for v in stored.values())
+        uniform_init = model._uniform_init
+
+        def no_draw(rng, *args, **kwargs):
+            assert not isinstance(rng, np.random.Generator), "a loaded weight was drawn"
+            return uniform_init(rng, *args, **kwargs)
+        monkeypatch.setattr(model, "_uniform_init", no_draw)
+        clone = load_system(path)
+        loaded = {**{k: p.values for k, p in clone.parameters().items()}, **clone.buffers()}
+        assert list(loaded) == [k for k in stored if not k.startswith("meta/")]
+        for name, values in loaded.items():
+            assert values.dtype == np.float64 and values.flags.c_contiguous
+            assert values.flags.aligned and values.flags.writeable
+            assert not np.shares_memory(values, stored[name])
+            assert values.tobytes() == stored[name].tobytes(), name
+
+    def test_non_finite_entry_is_not_saved(self, tmp_path):
+        from ofdmlab.errors import NumericError
+        cfg = TrainConfig(n_tx=2, n_rx=2, n_subcarriers=8, oversample=4, mod_order=4,
+                          channel_taps=0, decoder_iterations=1)
+        for name in ("enc/conv2/w", "dec/it00/bn_b/running_var"):
+            system = build_system(2, 2, 8, 4, 4, ibo_db=6.0, iterations=1)
+            state = {**{k: p.values for k, p in system.parameters().items()},
+                     **system.buffers()}
+            state[name].reshape(-1)[1] = np.inf
+            path = tmp_path / "model.bin"
+            with pytest.raises(NumericError, match=f"{name} holds a non-finite value"):
+                save_system(path, system, cfg)
+            assert not path.exists()

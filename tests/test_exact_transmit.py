@@ -30,11 +30,11 @@ from ofdmlab.autodiff import no_grad
 from ofdmlab.baselines import SlmCodebook, clip_and_filter, clip_only, slm_encode
 from ofdmlab.cae import training
 from ofdmlab.cae.pipeline import build_system
-from ofdmlab.channel import apply_channel
+from ofdmlab.channel import apply_channel, draw_channel
 from ofdmlab.config import parse_config
 from ofdmlab.dsp import dft_unpad, estimate_psd, idft_oversampled, inband_start, papr_mimo
 from ofdmlab.harness import frame_rng, frame_streams, run_acpr_obo, run_ber, run_ccdf, run_psd
-from ofdmlab.modulation import OfdmGrid, symbols_to_bits
+from ofdmlab.modulation import SUPPORTED_ORDERS, OfdmGrid, qam_alphabet, symbols_to_bits
 from ofdmlab.rf import RappParams, apply_ibo, bandpass_filter, bussgang_alpha, rapp_amplify
 
 # -- oracles: the earlier synthesis, SLM search, amplifier and frame generator -------
@@ -193,8 +193,10 @@ def amplified_ref(chain, filtered: np.ndarray):
 def ber_frame_ref(chain, frame_index: int, point_index: int, sigma_w2: float):
     """Simulate one frame at one SNR point; returns (bit errors, bits)."""
     cfg = chain.cfg
+    s = cfg.system
     rng = frame_rng_ref(cfg.run.seed, frame_index, point_index)
-    grid, chan = chain._link_draw(rng, sigma_w2)
+    grid = OfdmGrid.random(rng, s.n_tx, s.n_subcarriers, s.mod_order)
+    chan = draw_channel(rng, s.n_subcarriers, s.n_tx, s.n_rx, chain.profile, sigma_w2)
     filtered, phases = filtered_frame_ref(chain, grid)
     _, amplified, alpha = amplified_ref(chain, filtered)
     x_freq = dft_unpad_ref(amplified, cfg.system.n_subcarriers).T   # [K, n_tx]
@@ -434,6 +436,36 @@ def test_frame_streams_match_per_frame_generators(seed, point_index, start, leng
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
+@pytest.mark.parametrize("shape", [(2, 72), (3, 5), (1, 1)], ids=["2x72", "3x5", "1x1"])
+@pytest.mark.parametrize("order", [4, 16, 64, 256])
+@settings(max_examples=12, deadline=None, database=None)
+@given(seed=st.integers(0, 2 ** 128 - 1), point_index=st.integers(0, 40),
+       start=st.integers(0, 2 ** 40), length=st.integers(1, 4), rekeyed=st.booleans())
+def test_block_symbols_match_per_frame_grids(order, shape, seed, point_index, start, length,
+                                             rekeyed):
+    """A block's raw-word symbols are each frame's ``OfdmGrid.random`` draw, and the
+    stream goes on as after it, an odd A*K's buffered half-word included. Orders 64
+    and 256 have no alphabet here: their indices are compared with ``integers``."""
+    n_antennas, n_subcarriers = shape
+    alphabet = qam_alphabet(order) if order in SUPPORTED_ORDERS else np.arange(order)
+    frames = range(start, start + length)
+    streams = (frame_streams(seed, frames, point_index) if rekeyed
+               else [frame_rng(seed, i, point_index) for i in frames])
+    symbols, after = harness._draw_symbols(
+        streams, length, n_antennas, n_subcarriers, alphabet,
+        lambda rng: (rng.integers(0, 7, 5), rng.standard_normal(3)))
+    assert symbols.shape == (length, n_antennas, n_subcarriers) and len(after) == length
+    for f, frame_index in enumerate(frames):
+        rng = frame_rng_ref(seed, frame_index, point_index)
+        if order in SUPPORTED_ORDERS:
+            want = OfdmGrid.random(rng, n_antennas, n_subcarriers, order).symbols
+        else:
+            want = rng.integers(0, order, size=shape)
+        assert np.array_equal(symbols[f], want)
+        assert np.array_equal(after[f][0], rng.integers(0, 7, 5))
+        assert np.array_equal(after[f][1], rng.standard_normal(3))
+
+
 def test_zero_frame_in_a_block_is_refused():
     zeroed = golden_block(n_frames=4)
     zeroed[2] = 0.0
@@ -449,7 +481,7 @@ def test_zero_frame_in_a_block_is_refused():
 def test_slm_winners_match_per_frame_encoding():
     chain = harness._FrameChain(golden("slm", frames=9))
     grids = [OfdmGrid.random(frame_rng_ref(4, i), 2, 72, 4) for i in range(9)]
-    filtered, phases = chain.filtered_block(grids)
+    filtered, phases = chain.filtered_block(np.stack([g.symbols for g in grids]))
     for f, grid in enumerate(grids):
         frame, index = slm_encode_ref(grid, chain.book, 4)
         assert np.array_equal(filtered[f], bandpass_filter_ref(frame, 4))

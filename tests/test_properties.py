@@ -305,9 +305,6 @@ TRAIN_VALUES.update({
 })
 
 
-# A value that overflows the training (lr = 1e300) ends as a numeric error, and
-# numpy warns on the way there.
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=150, deadline=None, database=None)
 @given(values=st.fixed_dictionaries({}, optional=TRAIN_VALUES))
 @example(values={"lambda_2a": "nan"})   # accepted before: exit 0 and a nan in the log

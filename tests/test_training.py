@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,21 @@ class TestLogging:
         with pytest.raises(NumericError, match="l2a is nan at epoch = 1; no checkpoint or log"):
             train(toy_config(epochs=1, gradual_start_epoch=2), checkpoint_path=ckpt,
                   log_path=log)
+        assert not ckpt.exists() and not log.exists()
+
+    def test_overflowing_step_writes_nothing(self, tmp_path):
+        """A step that overflows the weights on the last batch leaves every logged
+        loss finite: the checkpoint check ends the run, and numpy never warns."""
+        from ofdmlab.errors import NumericError
+        ckpt, log = tmp_path / "model.bin", tmp_path / "model.log.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericError, match="holds a non-finite value; nothing written"):
+                train(toy_config(epochs=1, gradual_start_epoch=2, batches_per_epoch=1, lr=1e308),
+                      checkpoint_path=ckpt, log_path=log)
+            with pytest.raises(NumericError, match="non-finite loss at epoch 2"):
+                train(toy_config(epochs=2, gradual_start_epoch=3, batches_per_epoch=1,
+                                 lr=1e300))
         assert not ckpt.exists() and not log.exists()
 
     def test_lambda_column_tracks_updates(self):
