@@ -7,8 +7,9 @@ gives the same values as one frame at a time, so results are identical for
 any block size, worker count and rerun. A block that uses up each frame's
 stream before the next frame's starts re-keys one generator from frame to
 frame. A block's symbol grids come from one raw-word draw per frame and one
-gather for the block, bit for bit the grids of ``OfdmGrid.random``. Workers are threads that take whole blocks; numpy releases the GIL
-in the heavy kernels.
+gather for the block, bit for bit the grids of ``OfdmGrid.random``. Workers
+are threads that take whole blocks; numpy releases the GIL in the heavy
+kernels.
 """
 
 from __future__ import annotations
@@ -66,7 +67,8 @@ def frame_streams(seed: int, frames: range, point_index: int = 0):
 
     Yields one generator, re-keyed for each frame in turn through its bit
     generator's state, so a block builds one generator instead of one per
-    frame. A frame's stream must be used up before the next one is drawn.
+    frame. A frame's stream must be used up, or its state kept, before the
+    next one is drawn.
     """
     bit_generator = np.random.Philox(key=seed)
     rng = np.random.Generator(bit_generator)
@@ -211,18 +213,23 @@ class _FrameChain:
         Each frame draws its grid and channel from its own stream, the block
         is transmitted in one pass, and then each frame draws its noise and
         is detected on its own. It goes back to each frame's stream after
-        the transmit, so it keeps one generator per frame.
+        the transmit through the state it kept after that frame's channel.
         """
         cfg = self.cfg
         k, order = cfg.system.n_subcarriers, cfg.system.mod_order
-        rngs = [frame_rng(cfg.run.seed, i, point_index) for i in frames]
-        symbols, chans = _draw_symbols(rngs, len(frames), cfg.system.n_tx, k, self.alphabet,
-                                       lambda rng: self._channel(rng, sigma_w2))
+
+        def after_grid(rng):
+            return rng, self._channel(rng, sigma_w2), rng.bit_generator.state
+
+        symbols, draws = _draw_symbols(frame_streams(cfg.run.seed, frames, point_index),
+                                       len(frames), cfg.system.n_tx, k, self.alphabet,
+                                       after_grid)
         filtered, phases = self.filtered_block(symbols)
         _, amplified = self.amplified(filtered)
         x_freq = dft_unpad(amplified, k)                             # [F, n_tx, K]
         detected = []
-        for f, (rng, chan) in enumerate(zip(rngs, chans)):
+        for f, (rng, chan, state) in enumerate(draws):
+            rng.bit_generator.state = state
             y = apply_channel(x_freq[f].T, chan, rng)
             y = y / self._gain(filtered, amplified, f)
             got = self.detect(chan, y, order)
