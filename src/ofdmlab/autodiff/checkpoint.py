@@ -16,7 +16,10 @@ Order is preserved on load.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -40,31 +43,49 @@ def save_tensors(path, tensors: dict[str, np.ndarray]):
             fh.write(array.tobytes())
 
 
-def load_tensors(path) -> dict[str, np.ndarray]:
-    """Read a checkpoint back into an ordered name -> array mapping.
+def read_tensors(path):
+    """Yield each tensor of a checkpoint as ``(name, shape, fill)``, in file order.
 
-    The arrays are read-only views of the file's bytes, copied by no one
-    but the caller.
+    ``fill(out=None)`` reads the tensor's values from the file straight into
+    ``out``, a C-contiguous float64 array of that shape (a new one if None),
+    and returns it; a tensor not filled before the next is yielded is
+    skipped. A foreign or truncated file is a ValueError or struct.error,
+    raised before anything is allocated for the entry it fails on.
     """
     path = Path(path)
-    data = path.read_bytes()
-    if data[:4] != MAGIC:
-        raise ValueError(f"{path} is not a tensor checkpoint")
-    offset = 4
-    (count,) = struct.unpack_from("<I", data, offset)
-    offset += 4
-    out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        name = data[offset:offset + name_len].decode("utf-8")
-        offset += name_len
-        (ndim,) = struct.unpack_from("<I", data, offset)
-        offset += 4
-        dims = struct.unpack_from(f"<{ndim}Q", data, offset)
-        offset += 8 * ndim
-        n_values = int(np.prod(dims)) if ndim else 1
-        array = np.frombuffer(data, dtype="<f8", count=n_values, offset=offset)
-        offset += 8 * n_values
-        out[name] = array.reshape(dims)
-    return out
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def take(n: int) -> bytes:
+            if n > size - fh.tell():
+                raise ValueError(f"{path} is truncated")
+            return fh.read(n)
+
+        if take(4) != MAGIC:
+            raise ValueError(f"{path} is not a tensor checkpoint")
+        (count,) = struct.unpack("<I", take(4))
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+            end = fh.tell() + 8 * math.prod(shape)
+            if end > size:
+                raise ValueError(f"{path} is truncated")
+
+            def fill(out=None, shape=shape):
+                out = np.empty(shape) if out is None else out
+                if out.shape != shape or out.dtype != np.float64 or not out.flags.c_contiguous:
+                    raise ValueError(f"{path}: cannot read a {shape} tensor into {out.shape}")
+                fh.readinto(out.reshape(-1).view(np.uint8))
+                if sys.byteorder != "little":
+                    out.byteswap(inplace=True)
+                return out
+
+            yield name, shape, fill
+            fh.seek(end)
+
+
+def load_tensors(path) -> dict[str, np.ndarray]:
+    """Read a checkpoint back into an ordered name -> array mapping."""
+    return {name: fill() for name, _, fill in read_tensors(path)}

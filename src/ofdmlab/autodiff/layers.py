@@ -185,6 +185,12 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
     ``inplace`` it is formed in the input's own buffer, which must have no
     other reader (as a conv2d output has none), and the output is
     C-contiguous so that :func:`selu` can write over it in turn.
+
+    On the tape the output is regenerable: its ``_recompute`` forms gamma *
+    x_hat, then + beta, from the kept x_hat as the forward did. This is
+    exact only while gamma and beta hold their forward values, and they do
+    for every consumer's backward: an optimizer updates them only after
+    this op's own backward has run, which is after its consumers'.
     """
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     if x.values.ndim == 2:
@@ -215,9 +221,13 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
 
     inv_std_r = (1.0 / np.sqrt(var + eps)).reshape(shape)
     x_hat = np.multiply(centred, inv_std_r, out=centred)   # keeps the input's layout
-    out = np.multiply(gamma.values.reshape(shape), x_hat,
-                      out=np.empty(x_hat.shape) if inplace else np.empty_like(x_hat))
-    out += beta.values.reshape(shape)
+
+    def affine(out):
+        np.multiply(gamma.values.reshape(shape), x_hat, out=out)
+        out += beta.values.reshape(shape)
+        return out
+
+    out = affine(np.empty(x_hat.shape) if inplace else np.empty_like(x_hat))
 
     def backward(g):
         g_sum = g.sum(axis=axes)
@@ -240,7 +250,10 @@ def batch_norm(x, gamma, beta, running_mean, running_var, train: bool,
             else:
                 _accumulate(x, scale * g)
 
-    return _node(out, (x, gamma, beta), backward)
+    node = _node(out, (x, gamma, beta), backward)
+    if node.requires_grad:
+        node._recompute = lambda: affine(np.empty(x_hat.shape))
+    return node
 
 
 def selu(x, inplace: bool = False) -> DiffTensor:
@@ -248,34 +261,54 @@ def selu(x, inplace: bool = False) -> DiffTensor:
 
     The forward pass is lambda*max(x, 0) + lambda*alpha*(exp(min(x, 0)) - 1):
     in each branch the other term is an exact zero, so no mask is needed.
-    The backward pass multiplies by a mask instead of indexing and reads
-    only the output and the exponential, never the input. Output and
-    gradient are C-contiguous whatever the input's layout. With ``inplace``
-    the output is written over the input's buffer, which must be
-    C-contiguous and have no other reader.
+    The backward pass multiplies the exponential by a mask of the output
+    instead of indexing. Output and gradient are C-contiguous whatever the
+    input's layout. With ``inplace`` the output is written over the input's
+    buffer, which must be C-contiguous and have no other reader.
+
+    The tape keeps no exponential where backward can rebuild it bit for
+    bit: from the input's values, which stay alive without ``inplace``, or
+    through the input's ``_recompute`` (a batch-norm output) with it. Only
+    an in-place SELU over an input that cannot be regenerated keeps it.
     """
     x = as_tensor(x)
     xv = x.values
     if inplace and not xv.flags.c_contiguous:
         raise ValueError("selu(inplace=True) needs a C-contiguous input")
-    expneg = np.minimum(xv, 0.0, out=np.empty(xv.shape))
-    np.exp(expneg, out=expneg)
+    recompute = x._recompute
+    keep = inplace and recompute is None
+    expneg = _exp_negative(xv, np.empty(xv.shape))
     values = np.maximum(xv, 0.0, out=xv if inplace else np.empty(xv.shape))
     values *= SELU_LAMBDA
-    shifted = np.subtract(expneg, 1.0)
+    shifted = np.subtract(expneg, 1.0, out=None if keep else expneg)
     shifted *= SELU_LAMBDA * SELU_ALPHA
     values += shifted
+    if not keep:
+        expneg = None
+
+    def rebuilt_exp():
+        if not inplace:
+            return _exp_negative(xv, np.empty(xv.shape))
+        source = recompute()
+        return _exp_negative(source, source)
 
     def backward(g):
         # lambda*alpha*exp(x) where x <= 0 (there values <= 0), lambda elsewhere
         negative = values <= 0.0
-        local = np.multiply(expneg, SELU_LAMBDA * SELU_ALPHA)
+        local = expneg if expneg is not None else rebuilt_exp()
+        local *= SELU_LAMBDA * SELU_ALPHA
         local *= negative
         local += np.multiply(~negative, SELU_LAMBDA)
         local *= g
         _accumulate(x, local, owned=True)
 
     return _node(values, (x,), backward)
+
+
+def _exp_negative(xv: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """exp(min(x, 0)) into the C-contiguous ``out`` (which may be ``xv`` itself)."""
+    np.minimum(xv, 0.0, out=out)
+    return np.exp(out, out=out)
 
 
 def gelu(x, inplace: bool = False) -> DiffTensor:

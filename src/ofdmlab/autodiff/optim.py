@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import DiffTensor
+from .tensor import DiffTensor, flat_views
 
 BLOCK = 1 << 15   # entries per cache block of the update (256 KiB per float64 buffer)
 
@@ -16,7 +16,10 @@ class AdamW:
         m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*g^2
         p -= lr * ( m_hat / (sqrt(v_hat) + eps) + weight_decay * p )
     with bias-corrected moments. A missing gradient counts as zero. Each
-    update drops the gradients it used.
+    update drops the gradients it used. ``m`` and ``v`` map each name to a
+    view of one flat buffer each, in parameter order; the buffers are
+    zero-filled by the allocator, so their pages are touched by the first
+    update, not here.
     """
 
     def __init__(self, params: dict[str, DiffTensor], lr: float = 1e-3,
@@ -28,8 +31,9 @@ class AdamW:
         self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
-        self.m = {name: np.zeros_like(p.values) for name, p in self.params.items()}
-        self.v = {name: np.zeros_like(p.values) for name, p in self.params.items()}
+        shapes = [p.values.shape for p in self.params.values()]
+        self.m = dict(zip(self.params, flat_views(shapes, np.zeros)))
+        self.v = dict(zip(self.params, flat_views(shapes, np.zeros)))
         size = max((p.values.size for p in self.params.values()), default=1)
         self._scratch = np.empty((2, min(BLOCK, size)))
         self._names = {id(p): name for name, p in self.params.items()}

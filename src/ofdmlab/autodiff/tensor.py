@@ -38,8 +38,17 @@ def grad_enabled() -> bool:
 
 
 class DiffTensor:
+    """An array on the tape.
+
+    ``_recompute``, if set by the op that made the tensor, is a closure that
+    returns its values afresh in a new C-contiguous array, bit for bit, from
+    what that op's backward keeps anyway. An in-place consumer that
+    overwrites the values can then regenerate them in its own backward
+    instead of keeping a copy; the closure is dropped with the op's backward.
+    """
+
     __slots__ = ("values", "grad", "requires_grad", "_parents", "_backward_fn",
-                 "__weakref__")
+                 "_recompute", "__weakref__")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
@@ -47,6 +56,7 @@ class DiffTensor:
         self.requires_grad = bool(requires_grad)
         self._parents = ()
         self._backward_fn = None
+        self._recompute = None
 
     # -- graph plumbing ----------------------------------------------------
 
@@ -113,6 +123,7 @@ class DiffTensor:
                 node.grad = None
                 node._backward_fn = _released
                 node._parents = ()
+                node._recompute = None
                 if leaf_done is not None:
                     for parent in parents:
                         if parent._backward_fn is None:
@@ -175,6 +186,17 @@ def as_tensor(x) -> DiffTensor:
 
 def parameter(values) -> DiffTensor:
     return DiffTensor(np.array(values, dtype=np.float64), requires_grad=True)
+
+
+def flat_views(shapes, allocate) -> list[np.ndarray]:
+    """One C-contiguous float64 view per shape, in order, of one flat buffer.
+
+    ``allocate(size)`` makes the buffer, e.g. ``np.zeros`` or ``np.empty``.
+    """
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    flat = allocate(sum(sizes))
+    offsets = np.cumsum([0] + sizes)
+    return [flat[lo:hi].reshape(shape) for lo, hi, shape in zip(offsets[:-1], offsets[1:], shapes)]
 
 
 def _released(grad):

@@ -422,17 +422,22 @@ def mle_detect(chan: ChannelRealization, y_freq: np.ndarray, order: int) -> np.n
 def zf_detect(chan: ChannelRealization, y_freq: np.ndarray, order: int) -> np.ndarray:
     """Pseudo-inverse equalization plus per-entry nearest constellation point.
 
-    All subcarriers are equalized in one batched SVD and pseudo-inverse; a
-    channel matrix whose smallest singular value is below 1e-12 is a
-    NumericError that names the first such subcarrier, and so is a
-    non-finite ``y_freq``.
+    All subcarriers are equalized through one batched SVD; a channel matrix
+    whose smallest singular value is below 1e-12 is a NumericError that
+    names the first such subcarrier, and so is a non-finite ``y_freq``. The
+    pseudo-inverse is formed from that SVD exactly as ``np.linalg.pinv``
+    forms it (of the conjugate, cutoff 1e-15 * max(s)), bit for bit.
     """
     y_freq = _observation(chan, y_freq)
-    smallest = np.linalg.svd(chan.h, compute_uv=False)[:, -1]
-    singular = np.flatnonzero(smallest < 1e-12)
+    u, s, vt = np.linalg.svd(chan.h.conj(), full_matrices=False)
+    singular = np.flatnonzero(s[:, -1] < 1e-12)
     if singular.size:
         raise NumericError(f"channel matrix at subcarrier {singular[0]} is singular")
-    equalized = np.matmul(np.linalg.pinv(chan.h), y_freq[:, :, None])[:, :, 0]
+    large = s > 1e-15 * np.amax(s, axis=-1, keepdims=True)
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    pinv = np.matmul(np.swapaxes(vt, -1, -2), np.multiply(s[..., None], np.swapaxes(u, -1, -2)))
+    equalized = np.matmul(pinv, y_freq[:, :, None])[:, :, 0]
     levels = pam_levels(order)
     re = levels[nearest_level_index(equalized.real, levels)]
     im = levels[nearest_level_index(equalized.imag, levels)]

@@ -105,9 +105,15 @@ def loss_acpr(frame_amplified: CPair, bank, acpr_req_db: float) -> DiffTensor:
 
 def total_loss(l1: DiffTensor, l2a: DiffTensor, l2b: DiffTensor, l3: DiffTensor,
                state: LagrangianState) -> DiffTensor:
-    """Augmented-Lagrangian composition of the four components."""
+    """Augmented-Lagrangian composition of the four components.
+
+    The multiplier is squared as a numpy float64: a square that overflows
+    gives an infinite term rather than a Python OverflowError, so the
+    caller's finiteness check reports it.
+    """
     clamped = maximum(l3 * state.rho_3 + state.lambda_3, 0.0)
-    inequality = (clamped * clamped - state.lambda_3 ** 2) * (1.0 / (2.0 * state.rho_3))
+    inequality = (clamped * clamped - np.float64(state.lambda_3) ** 2) \
+        * (1.0 / (2.0 * state.rho_3))
     return (l1
             + l2a * state.lambda_2a + l2a * l2a * (state.rho_2a / 2.0)
             + l2b * state.lambda_2b + l2b * l2b * (state.rho_2b / 2.0)

@@ -31,9 +31,11 @@ def left_matmul(m: CPair, x: CPair) -> CPair:
                  matmul(m.re, x.im) + matmul(m.im, x.re))
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int, scale: float = 1.0):
+def _uniform_init(rng: np.random.Generator, shape, fan_in: int,
+                  scale: float = 1.0) -> DiffTensor:
+    """A weight drawn uniformly from +-scale/sqrt(fan_in), held in the draw's own array."""
     bound = scale / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+    return DiffTensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
 class EncoderNet:
@@ -49,13 +51,13 @@ class EncoderNet:
         width = 2 * n_time
         c1, c2, c3 = ENCODER_CHANNELS
         self.conv_w = [
-            parameter(_uniform_init(rng, (c1, 1, 1, 3), 3, init_scale)),
-            parameter(_uniform_init(rng, (c2, c1, 1, 3), c1 * 3, init_scale)),
-            parameter(_uniform_init(rng, (c3, c2, 1, 3), c2 * 3, init_scale)),
+            _uniform_init(rng, (c1, 1, 1, 3), 3, init_scale),
+            _uniform_init(rng, (c2, c1, 1, 3), c1 * 3, init_scale),
+            _uniform_init(rng, (c3, c2, 1, 3), c2 * 3, init_scale),
         ]
         self.conv_b = [parameter(np.zeros(c)) for c in (c1, c2, c3)]
         self.bns = [BatchNorm(c) for c in (c1, c2, c3)]
-        self.fc_w = parameter(_uniform_init(rng, (width, c3 * width), c3 * width, init_scale))
+        self.fc_w = _uniform_init(rng, (width, c3 * width), c3 * width, init_scale)
         self.fc_b = parameter(np.zeros(width))
 
     def conv_weight_count(self) -> int:
@@ -135,14 +137,14 @@ class DecoderNet:
         self.fc_w, self.fc_b = [], []
         self.delta1, self.delta2 = [], []
         for it in range(iterations):
-            self.conv_a_w.append(parameter(_uniform_init(rng, (c1, 1, 3, 3), 9, init_scale)))
+            self.conv_a_w.append(_uniform_init(rng, (c1, 1, 3, 3), 9, init_scale))
             self.conv_a_b.append(parameter(np.zeros(c1)))
             self.bn_a.append(BatchNorm(c1))
-            self.conv_b_w.append(parameter(_uniform_init(rng, (c2, c1, 3, 3), c1 * 9, init_scale)))
+            self.conv_b_w.append(_uniform_init(rng, (c2, c1, 3, 3), c1 * 9, init_scale))
             self.conv_b_b.append(parameter(np.zeros(c2)))
             self.bn_b.append(BatchNorm(c2))
             out_size = est_size if it < iterations - 1 else est_size * n_levels
-            self.fc_w.append(parameter(_uniform_init(rng, (out_size, flat_in), flat_in, init_scale)))
+            self.fc_w.append(_uniform_init(rng, (out_size, flat_in), flat_in, init_scale))
             self.fc_b.append(parameter(np.zeros(out_size)))
             self.delta1.append(parameter(1.0))
             self.delta2.append(parameter(-1.0))

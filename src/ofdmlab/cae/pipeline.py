@@ -13,8 +13,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..autodiff import DiffTensor, as_tensor, no_grad, reshape, tmean, transpose
+from ..autodiff.tensor import flat_views
 from ..config import RfConfig, SystemConfig
 from ..dsp import idft_oversampled
+from ..errors import NumericError
 from ..modulation import pam_levels, symbols_to_level_indices
 from ..rf import RappParams
 from .complexpair import (CPair, DftBank, complexify_tensor, cp_abs2, cp_const,
@@ -165,11 +167,17 @@ class CaeSystem:
 
     def detect(self, grids: np.ndarray, h: np.ndarray, noise: np.ndarray,
                start: np.ndarray) -> np.ndarray:
-        """Inference through the same link: hard symbols [B, n_tx, K], no tape kept."""
-        with no_grad():
+        """Inference through the same link: hard symbols [B, n_tx, K], no tape kept.
+
+        A non-finite logit (weights that overflow) is a NumericError, and
+        numpy does not warn on the way.
+        """
+        with no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             stages = self.transmit(grids, train=False)
             logits, _ = self.receive(stages["amplified"], stages["filtered"],
                                      h, noise, start, train=False)
+        if not np.isfinite(logits.values).all():
+            raise NumericError("the CAE's logits are not finite; no CSV written")
         return hard_decisions(logits.values, self.geometry.mod_order)
 
     def targets_for(self, grids: np.ndarray) -> np.ndarray:
@@ -191,13 +199,46 @@ def build_system(n_tx: int, n_rx: int, n_subcarriers: int, oversample: int,
                             acpr_req_db, iterations, activation, init_scale, rng)
 
 
+class _Draws:
+    """Weight generator that hands out unfilled arrays and records each draw."""
+
+    def __init__(self):
+        self.draws = []
+
+    def uniform(self, low, high, size):
+        out = np.empty(size)
+        self.draws.append((out, low, high))
+        return out
+
+
 def _assemble_system(geometry: SystemConfig, rf: RfConfig, acpr_req_db: float,
-                     iterations: int, activation: str, init_scale: float, rng) -> CaeSystem:
-    """The system of :func:`build_system`, its weights drawn by ``rng.uniform``."""
+                     iterations: int, activation: str, init_scale: float,
+                     rng=None) -> CaeSystem:
+    """The system of :func:`build_system`, its weights drawn by ``rng.uniform``.
+
+    Every parameter is a view of one flat float64 buffer, in
+    :meth:`CaeSystem.parameters` order. The networks are built with
+    unfilled weights, and each weight is then drawn, in the networks' order,
+    straight into its view, so no second copy of the weights is made.
+    Without ``rng`` the weights are left unfilled, for a checkpoint to fill.
+    """
     g = geometry
+    weights = _Draws()
     encoder = EncoderNet(g.n_tx, g.oversample * g.n_subcarriers, activation=activation,
-                         rng=rng, init_scale=init_scale)
+                         rng=weights, init_scale=init_scale)
     decoder = DecoderNet(g.n_tx, g.n_rx, g.n_subcarriers, pam_levels(g.mod_order).size,
-                         iterations=iterations, activation=activation, rng=rng,
+                         iterations=iterations, activation=activation, rng=weights,
                          init_scale=init_scale)
-    return CaeSystem(encoder, decoder, geometry, rf, acpr_req_db)
+    system = CaeSystem(encoder, decoder, geometry, rf, acpr_req_db)
+    params = list(system.parameters().values())
+    unfilled = {id(out) for out, _, _ in weights.draws}
+    views = {}
+    for p, view in zip(params, flat_views([p.values.shape for p in params], np.empty)):
+        if rng is not None and id(p.values) not in unfilled:
+            view[...] = p.values   # a constant: a bias, a batch-norm scale or shift, a step size
+        views[id(p.values)] = view
+        p.values = view
+    if rng is not None:
+        for out, low, high in weights.draws:
+            views[id(out)][...] = rng.uniform(low, high, size=out.shape)
+    return system

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from ..autodiff import AdamW
-from ..autodiff.checkpoint import load_tensors, save_tensors
+from ..autodiff.checkpoint import read_tensors, save_tensors
 from ..channel import draw_channel, noise_variance_for_psnr
 from ..config import ChannelConfig, RfConfig, SystemConfig, TrainSection, check_link
 from ..csvio import check_finite, write_csv
@@ -144,11 +144,11 @@ def _training_bytes(cfg: TrainConfig) -> int:
     """Estimated peak bytes of :func:`train`, from the geometry alone.
 
     Three parameter-sized float64 buffers (values and the two Adam
-    moments; the fused step drops each gradient as soon as it is used),
-    plus per example three float64 arrays for every entry of a
-    convolution's output map, the tape's activations: batch norm's
-    normalized input (in the conv output's buffer), SELU's output (in batch
-    norm's) and SELU's exponential.
+    moments, one flat buffer each; the fused step drops each gradient as
+    soon as it is used), plus per example two float64 arrays for every
+    entry of a convolution's output map, the tape's activations: batch
+    norm's normalized input (in the conv output's buffer) and SELU's
+    output (in batch norm's). SELU's exponential is rebuilt in backward.
     """
     width = 2 * cfg.oversample * cfg.n_subcarriers
     d1, d2 = DECODER_CHANNELS
@@ -156,7 +156,7 @@ def _training_bytes(cfg: TrainConfig) -> int:
             + cfg.decoder_iterations * (
                 d1 * (3 * cfg.n_tx + 2) * (2 * cfg.n_subcarriers + 2)
                 + d2 * (3 * cfg.n_tx + 4) * (2 * cfg.n_subcarriers + 4)))
-    return 8 * (3 * _parameter_count(cfg) + 3 * cfg.batch_size * maps)
+    return 8 * (3 * _parameter_count(cfg) + 2 * cfg.batch_size * maps)
 
 
 def _available_bytes() -> int | None:
@@ -267,40 +267,59 @@ def save_system(path, system: CaeSystem, cfg: TrainConfig):
     save_tensors(path, {**tensors, **state})
 
 
-class _Unfilled:
-    """Stands in for the weight generator of a system a checkpoint fills: no draws."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.empty(size)
-
-
 def load_system(path) -> CaeSystem:
     """Rebuild a system from a checkpoint written by :func:`save_system`.
 
     The system is built with unfilled weights, and each checkpoint tensor is
-    copied once, into its parameter or buffer. A missing, truncated or
-    foreign file, or one that lacks an entry the rebuilt system needs, is a
-    ConfigError naming the path.
+    read from the file straight into its parameter or buffer, so no second
+    copy of the weights is held. A missing, truncated or foreign file, one
+    that lacks an entry the rebuilt system needs or holds one of another
+    shape, and one with a non-finite entry, is a ConfigError naming the path.
     """
+    meta, targets = {}, None
     try:
-        tensors = load_tensors(path)
-        meta = {k.split("/", 1)[1]: float(v) for k, v in tensors.items() if k.startswith("meta/")}
-        activation = {v: k for k, v in ACTIVATION_CODES.items()}[int(meta["activation"])]
-        system = _assemble_system(
-            SystemConfig(**{f.name: int(meta[f.name]) for f in fields(SystemConfig)}),
-            RfConfig(ibo_db=meta["ibo_db"], smoothness=meta["smoothness"],
-                     total_power=meta["total_power"]),
-            meta["acpr_req_db"], int(meta["decoder_iterations"]), activation, 1.0, _Unfilled)
-        for name, p in system.parameters().items():
-            p.values[...] = tensors[name]
-        for name, buf in system.buffers().items():
-            buf[...] = tensors[name]
+        for name, shape, fill in read_tensors(path):
+            if name.startswith("meta/"):
+                if shape != ():
+                    raise ValueError(f"entry {name} is not a scalar")
+                meta[name.split("/", 1)[1]] = float(_finite(name, fill()))
+                continue
+            if targets is None:
+                system, targets = _unfilled_system(meta)
+            target = targets.pop(name, None)
+            if target is None:
+                continue   # an entry this system does not use
+            if shape != target.shape:
+                raise ValueError(f"entry {name} has shape {shape}, not {target.shape}")
+            _finite(name, fill(target))
+        if targets is None:
+            system, targets = _unfilled_system(meta)
+        if targets:
+            raise KeyError(next(iter(targets)))
     except KeyError as exc:
         raise ConfigError(f"checkpoint {path} has no entry {exc}") from exc
     except (OSError, ValueError, struct.error) as exc:
         raise ConfigError(f"cannot load checkpoint {path}: {exc}") from exc
     return system
+
+
+def _unfilled_system(meta: dict) -> tuple[CaeSystem, dict[str, np.ndarray]]:
+    """The unfilled system a checkpoint's ``meta/`` entries describe, and the
+    arrays its other entries fill, by name."""
+    activation = {v: k for k, v in ACTIVATION_CODES.items()}[int(meta["activation"])]
+    system = _assemble_system(
+        SystemConfig(**{f.name: int(meta[f.name]) for f in fields(SystemConfig)}),
+        RfConfig(ibo_db=meta["ibo_db"], smoothness=meta["smoothness"],
+                 total_power=meta["total_power"]),
+        meta["acpr_req_db"], int(meta["decoder_iterations"]), activation, 1.0)
+    return system, {**{name: p.values for name, p in system.parameters().items()},
+                    **system.buffers()}
+
+
+def _finite(name: str, values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ValueError(f"entry {name} holds a non-finite value")
+    return values
 
 
 # -- evaluation ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from .channel import MultipathTaps, apply_channel, draw_channel, noise_variance_
 from .config import ExperimentConfig, changed_fields
 from .csvio import check_finite, write_csv
 from .dsp import dft_unpad, estimate_psd, idft_oversampled, papr_mimo
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 from .modulation import OfdmGrid, bit_errors, qam_alphabet
 from .rf import acpr, apply_ibo, bandpass_filter, bussgang_alpha, obo, rapp_amplify
 
@@ -157,15 +157,20 @@ class _FrameChain:
 
         SLM picks each frame's candidate on its own (a stacked candidate
         search falls out of cache), and the CAE encodes one frame per pass
-        (its matrix products round differently at other batch sizes).
+        (its matrix products round differently at other batch sizes). A
+        non-finite CAE frame is a NumericError, and numpy does not warn on
+        the way.
         """
         cfg = self.cfg
         oversample = cfg.system.oversample
         if cfg.method.name == "cae":
-            with no_grad():
-                rows = [self.system.transmit(frame[None], train=False)["filtered"].values()[0]
-                        for frame in symbols]
-            return np.stack(rows), None
+            with no_grad(), np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                block = np.stack([
+                    self.system.transmit(frame[None], train=False)["filtered"].values()[0]
+                    for frame in symbols])
+            if not np.isfinite(block).all():
+                raise NumericError("the CAE transmitted a non-finite frame; no CSV written")
+            return block, None
         if cfg.method.name == "slm":
             order = cfg.system.mod_order
             encoded = [baselines.slm_encode(OfdmGrid._unchecked(frame, order), self.book,

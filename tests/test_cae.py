@@ -331,7 +331,7 @@ class TestCheckpointRoundTrip:
 
     def test_load_copies_each_tensor_once_and_draws_nothing(self, tmp_path, monkeypatch):
         """The loaded parameters and buffers hold the checkpoint's bits in arrays of
-        their own; the weights are never drawn, and the file's tensors are views."""
+        their own; the weights are never drawn."""
         from ofdmlab.autodiff.checkpoint import load_tensors
         from ofdmlab.cae import model
         cfg = TrainConfig(n_tx=2, n_rx=2, n_subcarriers=8, oversample=4, mod_order=4,
@@ -342,7 +342,6 @@ class TestCheckpointRoundTrip:
         path = tmp_path / "model.bin"
         save_system(path, system, cfg)
         stored = load_tensors(path)
-        assert not any(v.flags.writeable for v in stored.values())
         uniform_init = model._uniform_init
 
         def no_draw(rng, *args, **kwargs):

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, overrides, exit codes."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -436,6 +437,21 @@ class TestBadTrainingRecipe:
         assert capsys.readouterr().err.splitlines() == [f"config error: {NO_GUARD_BAND}"]
         assert not out.exists()
 
+    def test_overflowing_multiplier_is_numeric_error(self, tmp_path, capsys):
+        """A finite lambda_3 whose square overflows: one line and exit 2, not a traceback."""
+        out = tmp_path / "model.bin"
+        path = tmp_path / "train.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp")
+                        + f"out = {out}\n[train]\nepochs = 1\ngradual_start_epoch = 1\n"
+                        "batches_per_epoch = 1\nbatch_size = 2\ndecoder_iterations = 1\n"
+                        "lambda_3 = 1.3407807929942597e+154\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["train", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error: non-finite loss at epoch 1")
+        assert not out.exists() and not out.with_suffix(".log.csv").exists()
+
     def test_train_config_refuses_no_guard_band(self):
         from ofdmlab.cae.training import TrainConfig
         from ofdmlab.errors import ConfigError
@@ -486,11 +502,27 @@ def _missing_entry(path):
     save_tensors(path, tensors)
 
 
+def _non_finite_entry(path):
+    from ofdmlab.autodiff.checkpoint import load_tensors, save_tensors
+    _small_checkpoint(path)
+    tensors = load_tensors(path)
+    tensors["dec/it00/fc/w"][3, 5] = np.inf
+    save_tensors(path, tensors)
+
+
+def _wrong_shape(path):
+    from ofdmlab.autodiff.checkpoint import load_tensors, save_tensors
+    _small_checkpoint(path)
+    tensors = load_tensors(path)
+    tensors["enc/conv1/b"] = tensors["enc/conv1/b"][:1]
+    save_tensors(path, tensors)
+
+
 class TestBadCheckpoint:
     @pytest.mark.parametrize("make", [None, _truncated_header, _truncated_data, _foreign,
-                                      _missing_entry],
+                                      _missing_entry, _non_finite_entry, _wrong_shape],
                              ids=["missing", "truncated_header", "truncated_data", "foreign",
-                                  "missing_entry"])
+                                  "missing_entry", "non_finite_entry", "wrong_shape"])
     def test_refused_as_config_error(self, make, tmp_path, capsys):
         checkpoint = tmp_path / "cae.bin"
         if make is not None:
@@ -502,6 +534,20 @@ class TestBadCheckpoint:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("config error: ")
         assert str(checkpoint) in err[0]
+
+    @pytest.mark.parametrize("make,entry", [(_non_finite_entry, "dec/it00/fc/w"),
+                                            (_wrong_shape, "enc/conv1/b")],
+                             ids=["non_finite_entry", "wrong_shape"])
+    def test_refusal_names_the_entry(self, make, entry, tmp_path, capsys):
+        checkpoint = tmp_path / "cae.bin"
+        make(checkpoint)
+        path = tmp_path / "cae.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp")
+                        + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
+                        "[detector]\nname = cae\n")
+        assert main(["ber", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(checkpoint) in err[0] and entry in err[0]
 
     def test_receive_antennas_mismatch_refused(self, tmp_path, capsys):
         checkpoint = tmp_path / "cae.bin"
@@ -543,6 +589,36 @@ class TestBadCheckpoint:
                                "[detector]\nname = cae\n")
         assert main(["ber", "--config", str(path), "--frames", "2",
                      "--out", str(tmp_path / "ber.csv")]) == 0
+
+
+class TestHugeWeights:
+    """Finite weights that overflow the CAE's arithmetic end in one numeric error line."""
+
+    @pytest.mark.parametrize("command,words", [("ber", "logits are not finite"),
+                                               ("ccdf", "non-finite frame"),
+                                               ("psd", "non-finite frame")])
+    def test_numeric_error_without_warnings(self, command, words, tmp_path, capsys):
+        from ofdmlab.cae.pipeline import build_system
+        from ofdmlab.cae.training import TrainConfig, save_system
+        checkpoint = tmp_path / "cae.bin"
+        system = build_system(2, 2, 24, 4, 4, ibo_db=6.0, iterations=1)
+        for p in system.parameters().values():
+            p.values *= 1e300
+        save_system(checkpoint, system, TrainConfig(n_tx=2, n_rx=2, n_subcarriers=24,
+                                                    oversample=4, mod_order=4,
+                                                    decoder_iterations=1))
+        out = tmp_path / "out.csv"
+        path = tmp_path / "cae.cfg"
+        path.write_text(BASE.replace("amplifier = linear", "amplifier = rapp")
+                        .replace("frames = 10", "frames = 100")
+                        + f"[method]\nname = cae\ncheckpoint = {checkpoint}\n"
+                        "[detector]\nname = cae\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("numeric error: ") and words in err[0]
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -8,7 +8,9 @@ memory layout, and whole training runs down to the log and checkpoint
 bytes. Shapes are the acceptance-9 smoke geometry (2x2, K=16, L=4, batch 32).
 The batch-norm and SELU oracles take the model's ``inplace`` keyword and
 ignore it; ``AdamWRef.backward_step`` runs backward and then the oracle's
-step, in place of the step fused into backward.
+step, in place of the step fused into backward. ``batch_norm_frozen`` and
+``selu_frozen`` are verbatim copies of the in-place kernels from before
+SELU's tape dropped its exponential (it kept one per conv layer).
 """
 
 import gc
@@ -161,6 +163,91 @@ def selu_ref(x, inplace: bool = False) -> DiffTensor:
         _accumulate(x, (local * g.reshape(-1)).reshape(x.values.shape))
 
     return _node(values.reshape(x.values.shape), (x,), backward)
+
+
+def batch_norm_frozen(x, gamma, beta, running_mean, running_var, train: bool,
+                      momentum: float = 0.1, eps: float = 1e-5,
+                      inplace: bool = False) -> DiffTensor:
+    x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
+    if x.values.ndim == 2:
+        axes = (0,)
+    elif x.values.ndim == 4:
+        axes = (0, 2, 3)
+    else:
+        raise ValueError("batch_norm expects a 2-D or 4-D input")
+    if train and x.values.shape[0] < 2:
+        raise ValueError("training-mode batch norm needs a batch of at least 2")
+
+    xv = x.values
+    shape = [1] * xv.ndim
+    shape[1] = xv.shape[1]
+    count = xv.size // xv.shape[1]
+    if train:
+        # the two passes of np.var, keeping the centred values
+        mean = xv.mean(axis=axes)
+        centred = np.subtract(xv, mean.reshape(shape), out=xv if inplace else None)
+        var = np.square(centred).sum(axis=axes) / count
+        running_mean *= (1.0 - momentum)
+        running_mean += momentum * mean
+        running_var *= (1.0 - momentum)
+        running_var += momentum * var
+    else:
+        centred = np.subtract(xv, running_mean.reshape(shape), out=xv if inplace else None)
+        var = running_var
+
+    inv_std_r = (1.0 / np.sqrt(var + eps)).reshape(shape)
+    x_hat = np.multiply(centred, inv_std_r, out=centred)   # keeps the input's layout
+    out = np.multiply(gamma.values.reshape(shape), x_hat,
+                      out=np.empty(x_hat.shape) if inplace else np.empty_like(x_hat))
+    out += beta.values.reshape(shape)
+
+    def backward(g):
+        g_sum = g.sum(axis=axes)
+        g_xhat = g * x_hat
+        gx_sum = g_xhat.sum(axis=axes)
+        if beta.requires_grad:
+            _accumulate(beta, g_sum)
+        if gamma.requires_grad:
+            _accumulate(gamma, gx_sum)
+        if x.requires_grad:
+            scale = gamma.values.reshape(shape) * inv_std_r
+            if train:
+                # scale * (g - mean(g) - x_hat * mean(g * x_hat)), in that order
+                g_mean = (g_sum / count).reshape(shape)
+                gx_mean = (gx_sum / count).reshape(shape)
+                gx = np.subtract(g, g_mean, out=np.empty_like(xv))
+                gx -= np.multiply(x_hat, gx_mean, out=g_xhat)
+                gx *= scale
+                _accumulate(x, gx, owned=True)
+            else:
+                _accumulate(x, scale * g)
+
+    return _node(out, (x, gamma, beta), backward)
+
+
+def selu_frozen(x, inplace: bool = False) -> DiffTensor:
+    x = as_tensor(x)
+    xv = x.values
+    if inplace and not xv.flags.c_contiguous:
+        raise ValueError("selu(inplace=True) needs a C-contiguous input")
+    expneg = np.minimum(xv, 0.0, out=np.empty(xv.shape))
+    np.exp(expneg, out=expneg)
+    values = np.maximum(xv, 0.0, out=xv if inplace else np.empty(xv.shape))
+    values *= SELU_LAMBDA
+    shifted = np.subtract(expneg, 1.0)
+    shifted *= SELU_LAMBDA * SELU_ALPHA
+    values += shifted
+
+    def backward(g):
+        # lambda*alpha*exp(x) where x <= 0 (there values <= 0), lambda elsewhere
+        negative = values <= 0.0
+        local = np.multiply(expneg, SELU_LAMBDA * SELU_ALPHA)
+        local *= negative
+        local += np.multiply(~negative, SELU_LAMBDA)
+        local *= g
+        _accumulate(x, local, owned=True)
+
+    return _node(values, (x,), backward)
 
 
 class AdamWRef:
@@ -397,6 +484,42 @@ def test_selu_inplace_exact():
         layers.selu(leaf(nhwc(rng, (2, 3, 4, 5))), inplace=True)
 
 
+@pytest.mark.parametrize("train", [True, False])
+@pytest.mark.parametrize("selu_inplace", [True, False], ids=["selu_inplace", "selu_copy"])
+def test_conv_batch_norm_selu_step_matches_frozen(train, selu_inplace):
+    """Decoder conv_b, then in-place batch norm and SELU, then one fused AdamW step.
+
+    The frozen chain keeps SELU's exponential; the new one rebuilds it in
+    backward, through batch norm's regeneration (in place) or from SELU's
+    input (not in place). Outputs, running statistics and every updated
+    parameter are equal bit for bit.
+    """
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((B, 15, 8, 34))
+    c = 21
+    init = {"w": rng.standard_normal((c, 15, 3, 3)), "b": rng.standard_normal(c),
+            "gamma": 1.0 + 0.1 * rng.standard_normal(c), "beta": 0.5 * rng.standard_normal(c)}
+    init["gamma"][0], init["beta"][1] = -2.0, -800.0    # a sign flip and an exp underflow
+    weights = rng.standard_normal((B, c, 10, 36))
+    results = []
+    for bn_op, selu_op in ((batch_norm_frozen, selu_frozen), (layers.batch_norm, layers.selu)):
+        params = {k: parameter(v) for k, v in init.items()}
+        running = (np.linspace(-0.5, 0.5, c), np.linspace(0.5, 1.5, c))
+        conv = layers.conv2d(leaf(x), params["w"], params["b"], padding=(2, 2))
+        hidden = bn_op(conv, params["gamma"], params["beta"], *running, train, inplace=True)
+        out = selu_op(hidden, inplace=selu_inplace)
+        forward = out.values.copy()
+        AdamW(params, lr=0.002, weight_decay=0.01).backward_step(tsum(out * weights))
+        results.append((forward, running, params))
+    (fwd_ref, running_ref, params_ref), (fwd_new, running_new, params_new) = results
+    assert_same(fwd_new, fwd_ref)
+    for new, ref in zip(running_new, running_ref):
+        assert_same(new, ref)
+    for k in init:
+        assert not np.array_equal(params_new[k].values, init[k])
+        assert_same(params_new[k].values, params_ref[k].values)
+
+
 @pytest.mark.parametrize("x_shape,w_shape", [((2 * B, 2688), (128, 2688)),
                                              ((B, 7560), (64, 7560)),
                                              ((B, 7560), (128, 7560)),
@@ -544,12 +667,12 @@ def test_conv2d_tape_holds_no_im2col_matrix():
     assert held - out.values.nbytes < cols_bytes
 
 
-def test_conv_block_holds_three_maps():
-    """Decoder conv_b, train mode: conv -> batch norm -> SELU keeps three output maps.
+def test_conv_block_holds_two_maps():
+    """Decoder conv_b, train mode: conv -> batch norm -> SELU keeps two output maps.
 
-    x_hat (in the conv output's buffer), SELU's output (in batch norm's)
-    and SELU's exponential; the conv output, a separate x_hat and a
-    separate SELU output are not kept.
+    x_hat (in the conv output's buffer) and SELU's output (in batch
+    norm's); the conv output, a separate x_hat, a separate SELU output and
+    SELU's exponential (rebuilt from x_hat in backward) are not kept.
     """
     n, c_in, h, w = B, 15, 8, 34
     c_out = 21
@@ -570,7 +693,35 @@ def test_conv_block_holds_three_maps():
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    assert 3 * map_bytes <= held < 3 * map_bytes + (1 << 16)
+    assert 2 * map_bytes <= held < 2 * map_bytes + (1 << 16)
+
+
+def _assert_packed(arrays):
+    """Each array is a C-contiguous view of one flat buffer, back to back in order."""
+    flat = arrays[0].base
+    assert flat is not None and flat.ndim == 1 and flat.size == sum(a.size for a in arrays)
+    offset = 0
+    for a in arrays:
+        assert a.base is flat and a.flags.c_contiguous
+        assert a.ctypes.data == flat.ctypes.data + 8 * offset
+        offset += a.size
+    return flat
+
+
+def test_parameters_and_moments_are_views_of_one_buffer_each(tmp_path):
+    system = build_system(2, 2, 16, 4, 4, ibo_db=9.0, iterations=2, seed=1)
+    checkpoint = tmp_path / "cae.bin"
+    training.save_system(checkpoint, system, replace(SMOKE, decoder_iterations=2))
+    loaded = training.load_system(checkpoint)
+    for built in (system, loaded):
+        _assert_packed([p.values for p in built.parameters().values()])
+    for new, old in zip(loaded.parameters().values(), system.parameters().values()):
+        assert_same(new.values, old.values)
+    optimizer = AdamW(system.parameters())
+    m = _assert_packed(list(optimizer.m.values()))
+    v = _assert_packed(list(optimizer.v.values()))
+    assert not np.shares_memory(m, v)
+    assert not m.any() and not v.any()
 
 
 def test_one_decoder_fc_gradient_alive_during_backward(monkeypatch):

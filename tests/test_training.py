@@ -238,7 +238,7 @@ class TestMemoryBudget:
         shipped = Path(__file__).resolve().parents[1] / "configs" / "train_16qam_4x4.cfg"
         cfg = train_config(load_config(shipped))
         assert training._training_bytes(cfg) > 9e9
-        with pytest.raises(ConfigError, match=r"needs about 9\.82 GB .* 8\.59 GB"):
+        with pytest.raises(ConfigError, match=r"needs about 9\.58 GB .* 8\.59 GB"):
             training._check_memory(cfg, available=8 << 30)
 
         def no_build(cfg):
